@@ -7,7 +7,11 @@ driven by the on-line framework, by the offline examples, or directly by unit
 tests.
 """
 
-from repro.breed.acquisition import LossDeviationTracker, SampleLossObservation
+from repro.breed.acquisition import (
+    LossDeviationTracker,
+    NonFiniteLossError,
+    SampleLossObservation,
+)
 from repro.breed.adaptive import AdaptiveTrigger, PeriodicTrigger, ResamplingTrigger
 from repro.breed.amis import AMISConfig, AMISResult, AdaptiveImportanceSampler
 from repro.breed.controller import BreedController, SteeringRecord, SteeringTarget
@@ -23,6 +27,7 @@ from repro.breed.samplers import (
 
 __all__ = [
     "LossDeviationTracker",
+    "NonFiniteLossError",
     "SampleLossObservation",
     "AdaptiveTrigger",
     "PeriodicTrigger",

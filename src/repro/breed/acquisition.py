@@ -18,18 +18,56 @@ O(1) memory per seen sample.  The paper's construction:
 
 Both averages are maintained incrementally ("Not to store all the values, we
 iteratively update the statistic upon the availability of new values").
+
+Storage is struct-of-arrays.  Every simulation id owns one *row*, assigned in
+registration order; :meth:`LossDeviationTracker.reassign_parameters` keeps
+the row and zeroes it.  Per row the tracker holds the parameter vector, the
+update-recency stamp and the observation count, and per ``(row, timestep)``
+cell the running mean and count of the deviations (dense ``(rows, T)`` arrays,
+grown by doubling).  A per-row list of timesteps in first-seen order records
+the order the cells were created in.
+
+Two orderings are part of the bit-identical resume contract and are kept
+exactly as the original one-object-per-sample implementation had them:
+
+* a batch is applied sample by sample in batch order: cells hit more than
+  once in one batch are updated rank by rank (first occurrence, second, …)
+  with the same ``mean += (δ − mean) / count`` expression, and
+* ``Q_j`` averages its per-timestep means in first-seen order, so the
+  floating-point summation order of ``np.mean`` does not change.
+
+Non-finite sample losses raise :class:`NonFiniteLossError` instead of
+silently poisoning ``Q_j`` (and with it every later steering decision).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.utils.moving_average import OnlineMean
+__all__ = ["NonFiniteLossError", "SampleLossObservation", "LossDeviationTracker"]
 
-__all__ = ["SampleLossObservation", "LossDeviationTracker"]
+
+class NonFiniteLossError(FloatingPointError):
+    """A training loss (or a statistic derived from it) is NaN or infinite.
+
+    Attributes
+    ----------
+    iteration:
+        NN iteration of the offending batch (``None`` when not known).
+    simulation_ids:
+        Simulations whose samples carried the non-finite values.
+    """
+
+    def __init__(
+        self, message: str, iteration: Optional[int] = None, simulation_ids: Sequence[int] = ()
+    ) -> None:
+        super().__init__(message)
+        self.iteration = iteration
+        self.simulation_ids = [int(sid) for sid in simulation_ids]
 
 
 @dataclass(frozen=True)
@@ -63,20 +101,22 @@ class SampleLossObservation:
         return max(self.sample_loss - self.batch_mean, 0.0) / sigma
 
 
-@dataclass
-class _SimulationRecord:
-    """Incremental statistics for one parameter vector ``λ_j``."""
+def _occurrence_ranks(keys: np.ndarray) -> Optional[np.ndarray]:
+    """Per element, how many equal keys precede it; ``None`` when all are unique."""
+    ordered = np.sort(keys)
+    if not (ordered[1:] == ordered[:-1]).any():
+        return None
+    order = np.argsort(keys, kind="stable")
+    starts = np.r_[True, keys[order][1:] != keys[order][:-1]]
+    positions = np.arange(keys.size)
+    ranks = np.empty(keys.size, dtype=np.int64)
+    ranks[order] = positions - np.maximum.accumulate(np.where(starts, positions, 0))
+    return ranks
 
-    parameters: np.ndarray
-    per_timestep: Dict[int, OnlineMean] = field(default_factory=dict)
-    last_update_order: int = -1
-    n_observations: int = 0
 
-    def q_value(self) -> float:
-        """Eq. 5–6: average of the per-timestep mean deviations."""
-        if not self.per_timestep:
-            return 0.0
-        return float(np.mean([m.mean for m in self.per_timestep.values()]))
+#: per-simulation arrays (leading axis: row) and per-(row, timestep) arrays
+_ROW_ARRAYS = ("_parameters", "_last_update_order", "_row_observations", "_n_timesteps")
+_CELL_ARRAYS = ("_timestep_order", "_means", "_counts")
 
 
 class LossDeviationTracker:
@@ -88,19 +128,73 @@ class LossDeviationTracker:
     """
 
     def __init__(self, epsilon: float = 1e-12) -> None:
-        self._records: Dict[int, _SimulationRecord] = {}
         self._epsilon = epsilon
         self._update_counter = 0
         #: total number of per-sample observations ingested
         self.n_observations = 0
+        #: number of simulations with at least one observation
+        self.n_observed = 0
+        self._ids: List[int] = []
+        self._rows: Dict[int, int] = {}
+        self._allocate(0, 0, None)
+
+    # ------------------------------------------------------------- storage
+    def _allocate(self, rows: int, columns: int, parameter_shape: Optional[Tuple[int, ...]]) -> None:
+        self._parameter_shape = parameter_shape
+        self._parameters = (
+            None if parameter_shape is None else np.zeros((rows, *parameter_shape), dtype=np.float64)
+        )
+        self._last_update_order = np.full(rows, -1, dtype=np.int64)
+        self._row_observations = np.zeros(rows, dtype=np.int64)
+        self._n_timesteps = np.zeros(rows, dtype=np.int64)
+        self._timestep_order = np.zeros((rows, columns), dtype=np.int64)
+        self._means = np.zeros((rows, columns), dtype=np.float64)
+        self._counts = np.zeros((rows, columns), dtype=np.int64)
+        # Flat views: a (row, timestep) cell is ``row * columns + timestep``.
+        self._means_flat = self._means.reshape(-1)
+        self._counts_flat = self._counts.reshape(-1)
+
+    def _grow(self, rows: int, columns: int) -> None:
+        """Reallocate to at least ``rows`` x ``columns``, doubling each axis."""
+        old_rows, old_columns = self._means.shape
+        new_rows = max(rows, 2 * old_rows, 16) if rows > old_rows else old_rows
+        new_columns = max(columns, 2 * old_columns, 8) if columns > old_columns else old_columns
+        old = {name: getattr(self, name) for name in _ROW_ARRAYS + _CELL_ARRAYS}
+        self._allocate(new_rows, new_columns, self._parameter_shape)
+        for name in _ROW_ARRAYS:
+            if old[name] is not None:
+                getattr(self, name)[:old_rows] = old[name]
+        for name in _CELL_ARRAYS:
+            getattr(self, name)[:old_rows, :old_columns] = old[name]
+
+    def _checked_parameters(self, parameters: np.ndarray) -> np.ndarray:
+        vector = np.asarray(parameters, dtype=np.float64)
+        if self._parameter_shape is None:
+            self._parameter_shape = vector.shape
+            self._parameters = np.zeros((self._means.shape[0], *vector.shape), dtype=np.float64)
+        elif vector.shape != self._parameter_shape:
+            raise ValueError(
+                f"parameter vector shape {vector.shape} does not match the tracker's "
+                f"{self._parameter_shape}"
+            )
+        return vector
+
+    def _append_row(self, simulation_id: int, parameters: np.ndarray) -> int:
+        vector = self._checked_parameters(parameters)
+        row = len(self._ids)
+        if row >= self._means.shape[0]:
+            self._grow(row + 1, self._means.shape[1])
+        assert self._parameters is not None
+        self._parameters[row] = vector
+        self._ids.append(int(simulation_id))
+        self._rows[int(simulation_id)] = row
+        return row
 
     # -------------------------------------------------------------- ingest
     def register_parameters(self, simulation_id: int, parameters: np.ndarray) -> None:
         """Associate a parameter vector with a simulation id (idempotent)."""
-        if simulation_id not in self._records:
-            self._records[simulation_id] = _SimulationRecord(
-                parameters=np.asarray(parameters, dtype=np.float64).copy()
-            )
+        if simulation_id not in self._rows:
+            self._append_row(simulation_id, parameters)
 
     def reassign_parameters(self, simulation_id: int, parameters: np.ndarray) -> None:
         """Overwrite a simulation's parameter vector after a steering update.
@@ -109,35 +203,42 @@ class LossDeviationTracker:
         previously accumulated statistics for the id belong to the *old*
         parameters and are discarded along with them.
         """
-        record = self._records.get(simulation_id)
-        params = np.asarray(parameters, dtype=np.float64).copy()
-        if record is None:
-            self._records[simulation_id] = _SimulationRecord(parameters=params)
+        row = self._rows.get(simulation_id)
+        if row is None:
+            self._append_row(simulation_id, parameters)
             return
-        self.n_observations -= record.n_observations
-        self._records[simulation_id] = _SimulationRecord(parameters=params)
+        vector = self._checked_parameters(parameters)
+        assert self._parameters is not None
+        self._parameters[row] = vector
+        observations = int(self._row_observations[row])
+        if observations:
+            # Only an observed row carries statistics (steering normally
+            # rewrites pending, never-observed simulations: nothing to zero).
+            self.n_observations -= observations
+            self.n_observed -= 1
+            self._last_update_order[row] = -1
+            self._row_observations[row] = 0
+            self._n_timesteps[row] = 0
+            self._timestep_order[row] = 0
+            self._means[row] = 0.0
+            self._counts[row] = 0
 
     def observe(self, observation: SampleLossObservation, parameters: Optional[np.ndarray] = None) -> float:
         """Ingest one observation; returns the deviation value δ (Eq. 4)."""
-        record = self._records.get(observation.simulation_id)
-        if record is None:
-            if parameters is None:
-                raise KeyError(
-                    f"simulation {observation.simulation_id} unknown; "
-                    "call register_parameters first or pass parameters"
-                )
-            self.register_parameters(observation.simulation_id, parameters)
-            record = self._records[observation.simulation_id]
         deviation = observation.deviation(self._epsilon)
-        tracker = record.per_timestep.get(observation.timestep)
-        if tracker is None:
-            tracker = OnlineMean()
-            record.per_timestep[observation.timestep] = tracker
-        tracker.update(deviation)
-        self._update_counter += 1
-        record.last_update_order = self._update_counter
-        record.n_observations += 1
-        self.n_observations += 1
+        if not math.isfinite(deviation):
+            raise NonFiniteLossError(
+                f"non-finite loss deviation at iteration {observation.iteration} "
+                f"for simulation {observation.simulation_id}",
+                iteration=observation.iteration,
+                simulation_ids=[observation.simulation_id],
+            )
+        self._ingest(
+            [int(observation.simulation_id)],
+            np.array([observation.timestep], dtype=np.int64),
+            np.array([deviation], dtype=np.float64),
+            None if parameters is None else [parameters],
+        )
         return deviation
 
     def observe_batch(
@@ -151,89 +252,188 @@ class LossDeviationTracker:
         """Ingest a whole training batch at once.
 
         Returns the batch mean/std used for the deviations (convenient for
-        logging and for the Fig. 6 correlation analysis).
+        logging and for the Fig. 6 correlation analysis).  Raises
+        :class:`NonFiniteLossError` — before touching any statistic — when a
+        sample loss is NaN or infinite.
         """
         losses = np.asarray(sample_losses, dtype=np.float64)
-        if losses.size == 0:
+        n = losses.size
+        if n == 0:
             return 0.0, 0.0
-        mean = float(losses.mean())
-        std = float(losses.std())
-        for index, (sim_id, timestep, loss) in enumerate(zip(simulation_ids, timesteps, losses)):
-            params = None if parameters is None else parameters[index]
-            self.observe(
-                SampleLossObservation(
-                    simulation_id=int(sim_id),
-                    timestep=int(timestep),
-                    iteration=int(iteration),
-                    sample_loss=float(loss),
-                    batch_mean=mean,
-                    batch_std=std,
-                ),
-                parameters=params,
+        ids = np.asarray(simulation_ids, dtype=np.int64).tolist()
+        # μ and σ exactly as ndarray.mean()/std() compute them (pairwise sum,
+        # divide, centre, square, pairwise sum, divide, sqrt), sharing the
+        # centred losses with Eq. 4.
+        mean = float(np.add.reduce(losses)) / n
+        std = math.nan
+        if math.isfinite(mean):
+            centred = losses - mean
+            std = math.sqrt(float(np.add.reduce(centred * centred)) / n)
+        if not math.isfinite(std):
+            bad = sorted({ids[index] for index in np.flatnonzero(~np.isfinite(losses)).tolist()})
+            raise NonFiniteLossError(
+                f"non-finite sample loss at iteration {iteration} for simulations {bad}",
+                iteration=int(iteration),
+                simulation_ids=bad,
             )
+        sigma = std if std > self._epsilon else self._epsilon
+        deviations = np.maximum(centred, 0.0) / sigma
+        self._ingest(ids, np.asarray(timesteps, dtype=np.int64), deviations, parameters)
         return mean, std
+
+    def _ingest(
+        self,
+        simulation_ids: List[int],
+        timesteps: np.ndarray,
+        deviations: np.ndarray,
+        parameters: Optional[Sequence[np.ndarray]],
+    ) -> None:
+        """Apply per-sample deviations as if one at a time, in batch order."""
+        if timesteps.min() < 0:
+            raise ValueError("timesteps must be non-negative")
+        lookup = self._rows
+        rows_list = [lookup.get(sid, -1) for sid in simulation_ids]
+        if -1 in rows_list:
+            for index, sid in enumerate(simulation_ids):
+                if rows_list[index] >= 0:
+                    continue
+                row = lookup.get(sid)
+                if row is None:
+                    if parameters is None:
+                        raise KeyError(
+                            f"simulation {sid} unknown; "
+                            "call register_parameters first or pass parameters"
+                        )
+                    row = self._append_row(sid, parameters[index])
+                rows_list[index] = row
+        n = len(rows_list)
+        rows = np.array(rows_list, dtype=np.int64)
+        top = int(timesteps.max())
+        if top >= self._means.shape[1]:
+            self._grow(self._means.shape[0], top + 1)
+        columns = self._means.shape[1]
+        keys = rows * columns + timesteps
+
+        # Eq. 5: running mean per (simulation, timestep) cell.  Cells hit
+        # several times in one batch are updated rank by rank, so each cell
+        # sees its deviations in batch order.
+        ranks = _occurrence_ranks(keys)
+        if ranks is None:
+            self._update_cells(keys, deviations, rows, timesteps)
+        else:
+            for rank in range(int(ranks.max()) + 1):
+                chosen = np.flatnonzero(ranks == rank)
+                self._update_cells(keys[chosen], deviations[chosen], rows[chosen], timesteps[chosen])
+
+        # Per-simulation observation counts and recency stamps: a row's stamp
+        # is the counter value of its last sample in the batch (the stamps
+        # increase along the batch, so the maximum is the last).
+        np.add.at(self._row_observations, rows, 1)
+        stamps = np.arange(self._update_counter + 1, self._update_counter + n + 1)
+        np.maximum.at(self._last_update_order, rows, stamps)
+        self._update_counter += n
+        self.n_observations += n
+
+    def _update_cells(
+        self, cells: np.ndarray, values: np.ndarray, rows: np.ndarray, timesteps: np.ndarray
+    ) -> None:
+        """One ``mean += (δ − mean) / count`` step on distinct flat cells."""
+        counts = self._counts_flat[cells] + 1
+        self._counts_flat[cells] = counts
+        current = self._means_flat[cells]
+        self._means_flat[cells] = current + (values - current) / counts
+        # Cells created now join their row's first-seen order, in batch order;
+        # a row's first cell makes its simulation observed.
+        fresh = counts == 1
+        if fresh.any():
+            order, lengths = self._timestep_order, self._n_timesteps
+            for row, timestep in zip(rows[fresh].tolist(), timesteps[fresh].tolist()):
+                length = lengths[row]
+                if length == 0:
+                    self.n_observed += 1
+                order[row, length] = timestep
+                lengths[row] = length + 1
 
     # ---------------------------------------------------------------- state
     def state_dict(self) -> dict:
-        """Every per-simulation statistic, preserving both dict orders.
+        """Every per-simulation statistic, preserving both orders.
 
-        Record order and per-timestep order are preserved exactly:
-        :meth:`window` feeds ``q_value`` means into AMIS, and
-        :meth:`_SimulationRecord.q_value` averages ``per_timestep`` values in
-        insertion order — floating-point summation order is part of the
-        bit-identical resume contract.
+        Record order (row order) and per-timestep order (first-seen order) are
+        preserved exactly: :meth:`window` feeds ``q_value`` means into AMIS,
+        and ``q_value`` averages per-timestep means in first-seen order —
+        floating-point summation order is part of the bit-identical resume
+        contract.
         """
+        records = []
+        for row, sid in enumerate(self._ids):
+            assert self._parameters is not None
+            steps = self._timestep_order[row, : self._n_timesteps[row]].copy()
+            records.append(
+                {
+                    "simulation_id": sid,
+                    "parameters": self._parameters[row].copy(),
+                    "last_update_order": int(self._last_update_order[row]),
+                    "n_observations": int(self._row_observations[row]),
+                    "timesteps": steps,
+                    "means": self._means[row, steps],
+                    "counts": self._counts[row, steps],
+                }
+            )
         return {
             "update_counter": self._update_counter,
             "n_observations": self.n_observations,
-            "records": [
-                {
-                    "simulation_id": sid,
-                    "parameters": record.parameters.copy(),
-                    "last_update_order": record.last_update_order,
-                    "n_observations": record.n_observations,
-                    "timesteps": np.array(list(record.per_timestep), dtype=np.int64),
-                    "means": np.array([m.mean for m in record.per_timestep.values()], dtype=np.float64),
-                    "counts": np.array([m.count for m in record.per_timestep.values()], dtype=np.int64),
-                }
-                for sid, record in self._records.items()
-            ],
+            "records": records,
         }
 
     def load_state_dict(self, state: dict) -> None:
+        payloads = list(state["records"])
+        timesteps = [np.asarray(p["timesteps"], dtype=np.int64) for p in payloads]
+        columns = max((int(steps.max()) + 1 for steps in timesteps if steps.size), default=0)
+        shape = None
+        if payloads:
+            shape = np.asarray(payloads[0]["parameters"], dtype=np.float64).shape
+        self._allocate(len(payloads), columns, shape)
+        self._ids = []
+        self._rows = {}
+        for payload, steps in zip(payloads, timesteps):
+            row = self._append_row(int(payload["simulation_id"]), payload["parameters"])
+            self._last_update_order[row] = int(payload["last_update_order"])
+            self._row_observations[row] = int(payload["n_observations"])
+            self._n_timesteps[row] = steps.size
+            self._timestep_order[row, : steps.size] = steps
+            self._means[row, steps] = np.asarray(payload["means"], dtype=np.float64)
+            self._counts[row, steps] = np.asarray(payload["counts"], dtype=np.int64)
         self._update_counter = int(state["update_counter"])
         self.n_observations = int(state["n_observations"])
-        self._records = {}
-        for payload in state["records"]:
-            record = _SimulationRecord(
-                parameters=np.asarray(payload["parameters"], dtype=np.float64).copy(),
-                last_update_order=int(payload["last_update_order"]),
-                n_observations=int(payload["n_observations"]),
-            )
-            for timestep, mean, count in zip(payload["timesteps"], payload["means"], payload["counts"]):
-                tracker = OnlineMean()
-                tracker.mean = float(mean)
-                tracker.count = int(count)
-                record.per_timestep[int(timestep)] = tracker
-            self._records[int(payload["simulation_id"])] = record
+        self.n_observed = int(np.count_nonzero(self._row_observations[: len(self._ids)] > 0))
 
     # -------------------------------------------------------------- queries
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._ids)
 
     def __contains__(self, simulation_id: int) -> bool:
-        return simulation_id in self._records
+        return simulation_id in self._rows
+
+    def _q(self, row: int) -> float:
+        """Eqs. 5–6: average of the per-timestep mean deviations of one row."""
+        n = self._n_timesteps[row]
+        if n == 0:
+            return 0.0
+        return float(np.mean(self._means[row, self._timestep_order[row, :n]]))
 
     def q_value(self, simulation_id: int) -> float:
-        record = self._records.get(simulation_id)
-        return record.q_value() if record is not None else 0.0
+        row = self._rows.get(simulation_id)
+        return self._q(row) if row is not None else 0.0
 
     def parameters(self, simulation_id: int) -> np.ndarray:
-        return self._records[simulation_id].parameters
+        return self._parameters[self._rows[simulation_id]].copy()  # type: ignore[index]
+
+    def _observed_rows(self) -> np.ndarray:
+        return np.flatnonzero(self._row_observations[: len(self._ids)] > 0)
 
     def observed_ids(self) -> List[int]:
         """Simulation ids with at least one ingested observation."""
-        return [sid for sid, rec in self._records.items() if rec.n_observations > 0]
+        return [self._ids[row] for row in self._observed_rows().tolist()]
 
     def window(self, size: int) -> Tuple[np.ndarray, np.ndarray, List[int]]:
         """Return the last ``size`` observed simulations by update recency.
@@ -249,20 +449,18 @@ class LossDeviationTracker:
         """
         if size <= 0:
             raise ValueError("window size must be positive")
-        observed = [
-            (rec.last_update_order, sid, rec) for sid, rec in self._records.items() if rec.n_observations > 0
-        ]
-        observed.sort(key=lambda item: item[0], reverse=True)
-        selected = observed[:size]
-        if not selected:
+        observed = self._observed_rows()
+        if observed.size == 0:
             return np.empty((0, 0)), np.empty((0,)), []
-        ids = [sid for _, sid, _ in selected]
-        locations = np.stack([rec.parameters for _, _, rec in selected], axis=0)
-        q_values = np.array([rec.q_value() for _, _, rec in selected], dtype=np.float64)
-        return locations, q_values, ids
+        recency = np.argsort(-self._last_update_order[observed], kind="stable")
+        selected = observed[recency[:size]].tolist()
+        assert self._parameters is not None
+        locations = self._parameters[selected]
+        q_values = np.array([self._q(row) for row in selected], dtype=np.float64)
+        return locations, q_values, [self._ids[row] for row in selected]
 
     def all_q_values(self) -> Dict[int, float]:
-        return {sid: rec.q_value() for sid, rec in self._records.items() if rec.n_observations > 0}
+        return {self._ids[row]: self._q(row) for row in self._observed_rows().tolist()}
 
     def snapshot(self) -> Dict[str, float]:
         """Summary statistics for logging/monitoring."""

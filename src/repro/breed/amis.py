@@ -26,6 +26,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.breed.acquisition import NonFiniteLossError
 from repro.sampling.bounds import ParameterBounds
 from repro.sampling.gaussian import GaussianMixture, IsotropicGaussian
 from repro.sampling.multinomial import (
@@ -176,6 +177,11 @@ class AdaptiveImportanceSampler:
         if locations.shape[1] != dim:
             raise ValueError(
                 f"locations dimensionality {locations.shape[1]} does not match bounds ({dim})"
+            )
+        if not np.isfinite(q_values).all():
+            raise NonFiniteLossError(
+                "non-finite q_values at window positions "
+                f"{np.flatnonzero(~np.isfinite(q_values)).tolist()}"
             )
         if np.any(q_values < 0):
             raise ValueError("q_values must be non-negative")

@@ -252,7 +252,7 @@ class BreedSampler(SteeringSampler):
         if self._last_trigger_iteration == iteration:
             return False
         # Need at least one observed simulation to build a proposal.
-        if len(self.tracker.observed_ids()) == 0:
+        if self.tracker.n_observed == 0:
             return False
         if self.trigger is not None:
             _, q_values, _ = self.tracker.window(self.config.window)

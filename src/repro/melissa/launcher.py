@@ -82,6 +82,8 @@ class Launcher:
         self.highest_submitted_id = -1
         #: submission order is by increasing simulation id, as in Melissa
         self._next_to_submit = 0
+        self._running: set[int] = set()
+        self._n_finished = 0
 
     # ---------------------------------------------------------------- sizes
     @property
@@ -95,11 +97,22 @@ class Launcher:
         return self.scheduler.job_limit
 
     def count_state(self, state: SimulationState) -> int:
-        return sum(1 for rec in self.records.values() if rec.state == state)
+        """Number of simulations in ``state``, from the maintained counters.
+
+        Submission is in id order, so the pending simulations are exactly the
+        ids from ``next_to_submit`` on.
+        """
+        if state == SimulationState.PENDING:
+            return self.budget - self._next_to_submit
+        if state == SimulationState.RUNNING:
+            return len(self._running)
+        if state == SimulationState.FINISHED:
+            return self._n_finished
+        return self._next_to_submit - len(self._running) - self._n_finished
 
     @property
     def all_finished(self) -> bool:
-        return all(rec.state == SimulationState.FINISHED for rec in self.records.values())
+        return self._n_finished == self.budget
 
     # ------------------------------------------------------------ submission
     def submit_available(self) -> List[int]:
@@ -131,6 +144,7 @@ class Launcher:
             record = self.records[sim_id]
             record.state = SimulationState.RUNNING
             record.client = self.client_factory.create(sim_id, record.parameters)
+            self._running.add(sim_id)
             started_clients.append(record.client)
             if self.event_log is not None:
                 self.event_log.emit("launcher", "started", simulation_id=sim_id)
@@ -143,16 +157,16 @@ class Launcher:
                 f"simulation {simulation_id} cannot finish from state {record.state}"
             )
         record.state = SimulationState.FINISHED
+        self._running.discard(simulation_id)
+        self._n_finished += 1
         self.scheduler.complete(simulation_id)
         if self.event_log is not None:
             self.event_log.emit("launcher", "finished", simulation_id=simulation_id)
 
     def running_clients(self) -> List[SolverClient]:
-        return [
-            rec.client
-            for rec in self.records.values()
-            if rec.state == SimulationState.RUNNING and rec.client is not None
-        ]
+        """Clients of the running simulations, in id order."""
+        clients = (self.records[sim_id].client for sim_id in sorted(self._running))
+        return [client for client in clients if client is not None]
 
     # -------------------------------------------------------------- steering
     def steerable_simulation_ids(self) -> List[int]:
@@ -160,14 +174,11 @@ class Launcher:
 
         The server may only touch simulations at least ``m`` ids beyond the
         highest id it has observed from the launcher, i.e. ``id >= k + m``,
-        *and* that are still pending.
+        *and* that are still pending.  Submission is in id order, so the
+        pending ids are exactly the tail from ``next_to_submit`` on.
         """
         threshold = self.highest_submitted_id + self.job_limit
-        return sorted(
-            sim_id
-            for sim_id, rec in self.records.items()
-            if rec.state == SimulationState.PENDING and sim_id >= threshold
-        )
+        return list(range(max(self._next_to_submit, threshold), self.budget))
 
     def update_parameters(self, simulation_id: int, parameters: np.ndarray, source: str) -> None:
         """Apply a steering request to a pending simulation."""
@@ -224,6 +235,12 @@ class Launcher:
                 record.client = client
             records[record.simulation_id] = record
         self.records = records
+        self._running = {
+            sid for sid, record in records.items() if record.state == SimulationState.RUNNING
+        }
+        self._n_finished = sum(
+            1 for record in records.values() if record.state == SimulationState.FINISHED
+        )
         self.highest_submitted_id = int(state["highest_submitted_id"])  # type: ignore[arg-type]
         self._next_to_submit = int(state["next_to_submit"])  # type: ignore[arg-type]
         # Rebuilding clients above appended to the factory log; restore it to

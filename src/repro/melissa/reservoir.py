@@ -94,6 +94,8 @@ class Reservoir:
         self._simulation_ids = np.zeros(capacity, dtype=np.int64)
         self._timesteps = np.zeros(capacity, dtype=np.int64)
         self._seen = np.zeros(capacity, dtype=np.int64)
+        #: number of buffered entries never drawn into a batch (seen count 0)
+        self._n_unseen = 0
         # --- statistics
         self.n_received = 0
         self.n_rejected = 0
@@ -139,7 +141,7 @@ class Reservoir:
 
     @property
     def n_unseen(self) -> int:
-        return int(np.count_nonzero(self._seen[: self._n] == 0))
+        return self._n_unseen
 
     def seen_counts(self) -> np.ndarray:
         """Per-entry consumption counts (copy, in buffer order)."""
@@ -202,14 +204,16 @@ class Reservoir:
         if not self.is_full:
             self._store(self._n, simulation_id, timestep, x, y)
             self._n += 1
+            self._n_unseen += 1
             return True
         # Full: replace a random already-seen entry; reject if every entry is unseen.
-        seen_indices = np.flatnonzero(self._seen[: self._n] > 0)
-        if seen_indices.size == 0:
+        if self._n_unseen == self._n:
             self.n_rejected += 1
             return False
+        seen_indices = np.flatnonzero(self._seen[: self._n] > 0)
         victim = int(self._rng.choice(seen_indices))
         self._store(victim, simulation_id, timestep, x, y)
+        self._n_unseen += 1
         self.n_evicted += 1
         return True
 
@@ -235,6 +239,7 @@ class Reservoir:
         sim_ids = self._simulation_ids[indices]
         steps = self._timesteps[indices]
         # Indices are unique (replace=False), so a vectorised += is exact.
+        self._n_unseen -= int(np.count_nonzero(self._seen[indices] == 0))
         self._seen[indices] += 1
         self.n_batches += 1
         self._m_draws.inc()
@@ -295,6 +300,7 @@ class Reservoir:
         self.n_batches = int(state["n_batches"])
         n = int(state["n_entries"])
         self._n = n
+        self._n_unseen = 0
         if n == 0:
             return
         xs = np.array(state["xs"], dtype=np.float64, copy=True)
@@ -306,6 +312,7 @@ class Reservoir:
         self._simulation_ids[:n] = np.asarray(state["simulation_ids"], dtype=np.int64)
         self._timesteps[:n] = np.asarray(state["timesteps"], dtype=np.int64)
         self._seen[:n] = np.asarray(state["seen_counts"], dtype=np.int64)
+        self._n_unseen = int(np.count_nonzero(self._seen[:n] == 0))
 
     # ------------------------------------------------------------- analysis
     def reuse_statistics(self) -> Tuple[float, int]:

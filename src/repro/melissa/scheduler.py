@@ -63,6 +63,9 @@ class BatchScheduler:
         self.max_start_delay = max_start_delay
         self._rng = rng
         self._jobs: Dict[int, SchedulerJob] = {}
+        #: queued jobs in submission order, and the number of running jobs
+        self._queued: Dict[int, SchedulerJob] = {}
+        self._n_running = 0
         self._tick = 0
 
     # --------------------------------------------------------------- queries
@@ -78,14 +81,14 @@ class BatchScheduler:
 
     @property
     def n_running(self) -> int:
-        return len(self.jobs_in_state(JobState.RUNNING))
+        return self._n_running
 
     @property
     def n_queued(self) -> int:
-        return len(self.jobs_in_state(JobState.QUEUED))
+        return len(self._queued)
 
     def has_capacity(self) -> bool:
-        return self.n_running < self.job_limit
+        return self._n_running < self.job_limit
 
     # ------------------------------------------------------------ lifecycle
     def submit(self, job_id: int) -> SchedulerJob:
@@ -95,6 +98,7 @@ class BatchScheduler:
         delay = int(self._rng.integers(0, self.max_start_delay + 1)) if self.max_start_delay else 0
         job = SchedulerJob(job_id=job_id, submitted_tick=self._tick, eligible_tick=self._tick + delay)
         self._jobs[job_id] = job
+        self._queued[job_id] = job
         return job
 
     def cancel(self, job_id: int) -> bool:
@@ -103,6 +107,7 @@ class BatchScheduler:
         if job is None or job.state != JobState.QUEUED:
             return False
         job.state = JobState.CANCELLED
+        del self._queued[job_id]
         return True
 
     def advance(self) -> List[int]:
@@ -114,17 +119,15 @@ class BatchScheduler:
         """
         self._tick += 1
         started: List[int] = []
-        eligible = [
-            job
-            for job in self._jobs.values()
-            if job.state == JobState.QUEUED and job.eligible_tick <= self._tick
-        ]
+        eligible = [job for job in self._queued.values() if job.eligible_tick <= self._tick]
         eligible.sort(key=lambda job: (job.eligible_tick, job.job_id))
         for job in eligible:
             if not self.has_capacity():
                 break
             job.state = JobState.RUNNING
             job.started_tick = self._tick
+            del self._queued[job.job_id]
+            self._n_running += 1
             started.append(job.job_id)
         return started
 
@@ -135,6 +138,7 @@ class BatchScheduler:
             raise ValueError(f"job {job_id} is not running (state={job.state})")
         job.state = JobState.COMPLETED
         job.completed_tick = self._tick
+        self._n_running -= 1
 
     # --------------------------------------------------------------- state
     def state_dict(self) -> Dict[str, object]:
@@ -175,6 +179,8 @@ class BatchScheduler:
                 completed_tick=None if payload["completed_tick"] is None else int(payload["completed_tick"]),
             )
             self._jobs[job.job_id] = job
+        self._queued = {jid: job for jid, job in self._jobs.items() if job.state == JobState.QUEUED}
+        self._n_running = sum(1 for job in self._jobs.values() if job.state == JobState.RUNNING)
 
     # ------------------------------------------------------------- summary
     def summary(self) -> Dict[str, int]:

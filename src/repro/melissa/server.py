@@ -28,7 +28,6 @@ from repro.nn.tensor import Tensor
 from repro.surrogate.model import DirectSurrogate
 from repro.surrogate.validation import ValidationSet, validation_loss
 from repro.utils.logging import EventLog
-from repro.utils.timer import TimerRegistry
 
 __all__ = ["SampleStatistic", "TrainingHistory", "TrainingServer"]
 
@@ -150,7 +149,6 @@ class TrainingServer:
         self.uniform_source_flags = dict(uniform_source_flags or {})
         self.event_log = event_log
         self.history = TrainingHistory()
-        self.timers = TimerRegistry()
         self.iteration = 0
         self.n_samples_received = 0
         self._tracer = telemetry.tracer()
@@ -158,15 +156,14 @@ class TrainingServer:
     # ---------------------------------------------------------------- receive
     def receive(self, message: TimeStepMessage) -> bool:
         """Ingest one streamed time step; returns False when back-pressured."""
-        with self.timers.span("receive"):
-            x = self.model.scalers.encode_input(message.parameters, message.timestep)
-            y = self.model.scalers.encode_output(message.payload)
-            accepted = self.reservoir.put(
-                simulation_id=int(message.simulation_id or 0),
-                timestep=message.timestep,
-                x=x,
-                y=y,
-            )
+        x = self.model.scalers.encode_input(message.parameters, message.timestep)
+        y = self.model.scalers.encode_output(message.payload)
+        accepted = self.reservoir.put(
+            simulation_id=int(message.simulation_id or 0),
+            timestep=message.timestep,
+            x=x,
+            y=y,
+        )
         if accepted:
             self.n_samples_received += 1
         return accepted
@@ -186,29 +183,25 @@ class TrainingServer:
         batch = self.reservoir.sample_batch(self.batch_size)
         if batch is None:
             return None
-        with self.timers.span("train"):
-            loss_value, per_sample = self._optimize(batch)
+        loss_value, per_sample = self._optimize(batch)
         self.iteration += 1
         self.history.train_losses.append(loss_value)
         self.history.train_iterations.append(self.iteration)
 
         # Feed the per-sample losses into the steering sampler (Breed's input).
-        with self.timers.span("acquisition"):
-            self.controller.observe_batch(
-                iteration=self.iteration,
-                simulation_ids=batch.simulation_ids,
-                timesteps=batch.timesteps,
-                sample_losses=per_sample,
-                parameters=None,
-            )
+        self.controller.observe_batch(
+            iteration=self.iteration,
+            simulation_ids=batch.simulation_ids,
+            timesteps=batch.timesteps,
+            sample_losses=per_sample,
+            parameters=None,
+        )
         if self.record_sample_statistics:
             self._record_statistics(batch, per_sample, loss_value)
 
         # Periodic validation.
         if self.validation_set is not None and self.iteration % self.validation_period == 0:
-            with self.timers.span("validation"), self._tracer.span(
-                "server.validation", cat="validation"
-            ):
+            with self._tracer.span("server.validation", cat="validation"):
                 val = validation_loss(self.model, self.validation_set)
             self.history.validation_losses.append(val)
             self.history.validation_iterations.append(self.iteration)
@@ -258,9 +251,7 @@ class TrainingServer:
         """Server counters, history and per-simulation provenance flags.
 
         The model, optimizer, reservoir and controller are snapshotted by
-        their owners (see :meth:`repro.api.session.TrainingSession.state_dict`);
-        wall-clock phase timers are measurement, not state, and restart at
-        zero after a restore.
+        their owners (see :meth:`repro.api.session.TrainingSession.state_dict`).
         """
         flags = sorted(self.uniform_source_flags.items())
         return {

@@ -54,6 +54,16 @@ class ParameterBounds:
                 raise ValueError(f"invalid bounds: requires low < high, got [{lo}, {hi}]")
         if self.names and len(self.names) != len(low):
             raise ValueError("names must match the number of dimensions")
+        # Array views of the box, built once: contains() runs in the AMIS
+        # per-member retry loop.  Read-only, because they are shared.
+        low_array = np.array(low, dtype=np.float64)
+        high_array = np.array(high, dtype=np.float64)
+        widths = high_array - low_array
+        for array in (low_array, high_array, widths):
+            array.flags.writeable = False
+        object.__setattr__(self, "_low", low_array)
+        object.__setattr__(self, "_high", high_array)
+        object.__setattr__(self, "_widths", widths)
 
     # ----------------------------------------------------------- properties
     @property
@@ -62,15 +72,15 @@ class ParameterBounds:
 
     @property
     def low_array(self) -> np.ndarray:
-        return np.asarray(self.low, dtype=np.float64)
+        return self._low
 
     @property
     def high_array(self) -> np.ndarray:
-        return np.asarray(self.high, dtype=np.float64)
+        return self._high
 
     @property
     def widths(self) -> np.ndarray:
-        return self.high_array - self.low_array
+        return self._widths
 
     @property
     def volume(self) -> float:
@@ -84,31 +94,28 @@ class ParameterBounds:
     def contains(self, point: Sequence[float], atol: float = 0.0) -> bool:
         """Whether ``point`` lies inside the box (inclusive, within ``atol``)."""
         p = np.asarray(point, dtype=np.float64)
-        if p.shape != (self.dim,):
+        if p.shape != self._low.shape:
             raise ValueError(f"point must have shape ({self.dim},), got {p.shape}")
-        return bool(np.all(p >= self.low_array - atol) and np.all(p <= self.high_array + atol))
+        return bool(((p >= self._low - atol) & (p <= self._high + atol)).all())
 
     def contains_all(self, points: np.ndarray, atol: float = 0.0) -> bool:
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        return bool(
-            np.all(pts >= self.low_array[None, :] - atol)
-            and np.all(pts <= self.high_array[None, :] + atol)
-        )
+        return bool(((pts >= self._low - atol) & (pts <= self._high + atol)).all())
 
     def clip(self, points: np.ndarray) -> np.ndarray:
         """Project points onto the box, component-wise."""
         pts = np.asarray(points, dtype=np.float64)
-        return np.clip(pts, self.low_array, self.high_array)
+        return np.clip(pts, self._low, self._high)
 
     def scale_to_unit(self, points: np.ndarray) -> np.ndarray:
         """Map points from the box to the unit hyper-cube ``[0, 1]^d``."""
         pts = np.asarray(points, dtype=np.float64)
-        return (pts - self.low_array) / self.widths
+        return (pts - self._low) / self._widths
 
     def scale_from_unit(self, unit_points: np.ndarray) -> np.ndarray:
         """Map unit-cube points into the box."""
         pts = np.asarray(unit_points, dtype=np.float64)
-        return self.low_array + pts * self.widths
+        return self._low + pts * self._widths
 
     def with_names(self, names: Sequence[str]) -> "ParameterBounds":
         return ParameterBounds(self.low, self.high, tuple(names))

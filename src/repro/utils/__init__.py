@@ -8,7 +8,7 @@ from repro.utils.moving_average import (
     moving_average,
 )
 from repro.utils.rng import RngStreams, default_rng, derive_seed
-from repro.utils.timer import Timer, TimerRegistry, timed
+from repro.utils.timer import Timer, timed
 
 __all__ = [
     "EventLog",
@@ -22,6 +22,5 @@ __all__ = [
     "default_rng",
     "derive_seed",
     "Timer",
-    "TimerRegistry",
     "timed",
 ]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 
 import numpy as np
@@ -86,6 +87,19 @@ class TestSnapshotDirectory:
         assert manifest["n_ticks"] == session.n_ticks
         assert manifest["iteration"] == session.server.iteration
         assert (path / "arrays.npz").exists()
+
+    def test_save_leaves_no_cyclic_garbage(self, make_config, tmp_path):
+        # Cycles left by the indenting JSON encoder would keep the freed
+        # snapshot temporaries' allocator arenas resident until the cyclic
+        # collector happens to run; save_session collects them itself.
+        session = self._session(make_config)
+        gc.collect()
+        gc.disable()
+        try:
+            save_session(session, tmp_path)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_latest_pointer_and_scan_fallback(self, make_config, tmp_path):
         session = self._session(make_config)

@@ -209,8 +209,13 @@ class TestTracker:
         source = self._observed()
         target = LossDeviationTracker()
         target.load_state_dict(source.state_dict())
-        for sid, record in source._records.items():
-            assert list(target._records[sid].per_timestep) == list(record.per_timestep)
+        source_records = source.state_dict()["records"]
+        target_records = target.state_dict()["records"]
+        assert [r["simulation_id"] for r in target_records] == [
+            r["simulation_id"] for r in source_records
+        ]
+        for source_record, target_record in zip(source_records, target_records):
+            assert list(target_record["timesteps"]) == list(source_record["timesteps"])
 
 
 class TestSamplers:
