@@ -8,8 +8,8 @@ configuration (Table 1, study 2/3 values) and a set of one-factor-at-a-time
 variations, each executed as an independent Melissa run sharing the same fixed
 validation set.
 
-The runs are independent, so ``--jobs N`` fans them out over a process pool
-(bit-identical results, any completion order), and ``--checkpoint FILE``
+The runs are independent, so ``--jobs N`` fans them out over the shared-memory
+worker pool (bit-identical results, any completion order), and ``--checkpoint FILE``
 streams finished runs to a JSONL file that a re-invocation resumes from —
 kill the study mid-way, run the same command again, and only the remaining
 configurations execute.
@@ -43,7 +43,7 @@ def main() -> None:
     parser.add_argument("--scale", default="smoke", choices=["smoke", "small"])
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--jobs", type=int, default=1,
-                        help="worker count; >1 runs the study on the process executor backend")
+                        help="worker count; >1 runs the study on the shm executor backend")
     parser.add_argument("--checkpoint", default=None, metavar="JSONL",
                         help="stream finished runs to this JSONL file and resume from it")
     args = parser.parse_args()
@@ -59,7 +59,7 @@ def main() -> None:
     }
     configurations = one_factor_at_a_time(base_values, {args.factor: FACTOR_VALUES[args.factor]})
 
-    backend = "process" if args.jobs > 1 else "serial"
+    backend = "shm" if args.jobs > 1 else "serial"
     runner = StudyRunner(
         base_config=template,
         study_name=f"fig3b-{args.factor}",

@@ -37,7 +37,7 @@ Package layout
     and the fixed Halton validation set.
 ``repro.workflow``
     Parameter-grid study orchestration (Snakemake substitute): grids, the
-    pluggable serial/process executor backends with JSONL checkpoint/resume,
+    pluggable serial/shm executor backends with JSONL checkpoint/resume,
     and the :class:`~repro.workflow.study.StudyRunner` driving them.
 ``repro.checkpoint``
     Fault-tolerant session checkpointing: versioned atomic

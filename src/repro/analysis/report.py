@@ -1,9 +1,9 @@
 """Plain-text rendering of the reproduced figures and tables.
 
-The benchmarks regenerate the paper's tables and figures as *text*: series of
-(iteration, loss) points, histogram rows and correlation coefficients.  This
-module centralises the formatting so all benches print consistent, easily
-diffable reports.
+The ``repro`` figure CLI regenerates the paper's tables and figures as *text*:
+series of (iteration, loss) points, histogram rows and correlation
+coefficients.  This module centralises the formatting so every experiment
+prints consistent, easily diffable reports.
 """
 
 from __future__ import annotations

@@ -18,9 +18,9 @@ Importing this module registers the scenarios (see
 * ``telemetry/*`` — the same session body with metrics + tracing fully
   enabled, so ``--compare`` against ``session/online_smoke`` bounds the
   observability overhead,
-* ``study/*`` — tiny study throughput through the serial, process and
+* ``study/*`` — tiny study throughput through the serial and
   shared-memory executor backends, plus validation-heavy throughput and
-  worker-scaling comparisons of the parallel backends,
+  worker-scaling measurements of the shared-memory backend,
 * ``service/*`` — HTTP round-trips against a live study service (submit,
   poll progress, wait for completion),
 * ``campaign/*`` — DAG-of-studies orchestration overhead over a pre-warmed
@@ -469,15 +469,6 @@ def _study_serial() -> ScenarioRun:
 
 
 @register_scenario(
-    "study/process",
-    units="runs",
-    description="tiny 2-run study through the process-pool executor backend",
-)
-def _study_process() -> ScenarioRun:
-    return _study_scenario("process")
-
-
-@register_scenario(
     "study/shm",
     units="runs",
     description="tiny 2-run study through the shared-memory executor backend",
@@ -486,16 +477,13 @@ def _study_shm() -> ScenarioRun:
     return _study_scenario("shm")
 
 
-def _study_throughput_scenario(backend: str, max_workers: int, n_runs: int = 8) -> ScenarioRun:
-    """Validation-heavy study throughput of one parallel backend.
+def _study_throughput_scenario(max_workers: int, n_runs: int = 8) -> ScenarioRun:
+    """Validation-heavy study throughput of the shm backend.
 
     The scenario is built so the dominant study input — the fixed validation
-    set, 256 full solver trajectories — dwarfs any single run: that is exactly
-    the input the process backend rebuilds once *per worker* while the shm
-    backend builds it once in the parent and shares it zero-copy, so the
-    runs/s gap between ``study/process_throughput`` and
-    ``study/shm_throughput`` is the measured value of zero-copy input
-    sharing.
+    set, 256 full solver trajectories — dwarfs any single run: the shm
+    backend builds it once in the parent and shares it zero-copy with every
+    worker, so this scenario measures the value of that input sharing.
     """
     from repro.workflow.study import StudyRunner
 
@@ -509,8 +497,8 @@ def _study_throughput_scenario(backend: str, max_workers: int, n_runs: int = 8) 
     def fn() -> int:
         runner = StudyRunner(
             base_config=config,
-            study_name=f"bench-{backend}-tp{max_workers}",
-            backend=backend,
+            study_name=f"bench-shm-tp{max_workers}",
+            backend="shm",
             max_workers=max_workers,
         )
         return len(runner.run_all(configurations))
@@ -519,21 +507,12 @@ def _study_throughput_scenario(backend: str, max_workers: int, n_runs: int = 8) 
 
 
 @register_scenario(
-    "study/process_throughput",
-    units="runs",
-    description="validation-heavy 8-run study, process backend, 4 workers",
-)
-def _study_process_throughput() -> ScenarioRun:
-    return _study_throughput_scenario("process", max_workers=4)
-
-
-@register_scenario(
     "study/shm_throughput",
     units="runs",
     description="validation-heavy 8-run study, shm backend, 4 workers",
 )
 def _study_shm_throughput() -> ScenarioRun:
-    return _study_throughput_scenario("shm", max_workers=4)
+    return _study_throughput_scenario(max_workers=4)
 
 
 @register_scenario(
@@ -542,7 +521,7 @@ def _study_shm_throughput() -> ScenarioRun:
     description="validation-heavy 8-run study, shm backend, 1 worker (scaling base)",
 )
 def _study_shm_workers1() -> ScenarioRun:
-    return _study_throughput_scenario("shm", max_workers=1)
+    return _study_throughput_scenario(max_workers=1)
 
 
 @register_scenario(
@@ -551,7 +530,7 @@ def _study_shm_workers1() -> ScenarioRun:
     description="validation-heavy 8-run study, shm backend, 2 workers",
 )
 def _study_shm_workers2() -> ScenarioRun:
-    return _study_throughput_scenario("shm", max_workers=2)
+    return _study_throughput_scenario(max_workers=2)
 
 
 # -------------------------------------------------------------------- service

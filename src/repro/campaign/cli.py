@@ -55,7 +55,7 @@ def build_campaign_parser() -> argparse.ArgumentParser:
     parser.add_argument("--backend", choices=list(BACKENDS), default=None,
                         help="executor backend override (default: the spec's)")
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="worker-pool size override for the parallel backends")
+                        help="worker-pool size override for the parallel backend")
     parser.add_argument("--checkpoint-every", type=int, default=None, metavar="N",
                         help="mid-run session-snapshot period override in training batches")
     parser.add_argument("--dry-run", action="store_true",

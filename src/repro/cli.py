@@ -81,13 +81,13 @@ def _resolve_backend(args: argparse.Namespace) -> tuple[str, Optional[int]]:
     """Backend name and worker count from ``--backend``/``--jobs``.
 
     ``--backend`` wins when given; otherwise ``--jobs N`` with ``N > 1``
-    selects the process backend.
+    selects the shm backend.
     """
     jobs: Optional[int] = args.jobs
     if args.backend is not None:
         return args.backend, jobs
     if jobs is not None and jobs > 1:
-        return "process", jobs
+        return "shm", jobs
     return "serial", jobs
 
 
@@ -428,10 +428,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--scale", default="smoke", choices=sorted(SCALES), help="experiment scale preset")
     parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="worker count; N > 1 implies --backend process")
+                        help="worker count; N > 1 implies --backend shm")
     parser.add_argument("--backend", choices=list(BACKENDS), default=None,
-                        help="executor backend (default: serial, or process when --jobs > 1; "
-                             "shm shares study inputs/results through shared memory)")
+                        help="executor backend (default: serial, or shm when --jobs > 1; "
+                             "process is an alias of shm)")
     parser.add_argument("--out", default="results", metavar="DIR",
                         help="output directory for result JSON and checkpoints (default: results/)")
     parser.add_argument("--resume", default=None, metavar="JSONL",
@@ -528,7 +528,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             flag
             for flag, value in (
                 ("--jobs", args.jobs is not None and args.jobs > 1),
-                ("--backend", args.backend in ("process", "shm")),
+                ("--backend", args.backend not in (None, "serial")),
                 ("--resume", args.resume is not None),
                 ("--restore", args.restore),
                 ("--checkpoint-every", args.checkpoint_every is not None),

@@ -1,12 +1,12 @@
 """Shared experiment scaffolding: scale presets and run helpers.
 
 The paper's runs (grid 64×64, 100 time steps, 800 simulations, thousands of
-NN iterations) take node-hours; the benchmarks must regenerate every figure on
+NN iterations) take node-hours; the figure CLI must regenerate every figure on
 a single CPU core in seconds-to-minutes.  Each experiment therefore accepts a
 *scale*:
 
-* ``"smoke"`` — a few seconds for the full figure; used by the pytest
-  benchmarks and the CI-style test suite,
+* ``"smoke"`` — a few seconds for the full figure; the ``repro`` CLI default,
+  also used by the CI-style test suite,
 * ``"small"`` — minutes; closer dynamics, still laptop-friendly,
 * ``"paper"`` — the configuration of Section 4 / Table 1 (expensive; provided
   for completeness and documented in EXPERIMENTS.md).

@@ -154,7 +154,7 @@ def run_cross_workload(
         Steering-method registry keys compared on each workload.
     backend, max_workers, checkpoint, resume, checkpoint_every:
         Study-engine knobs, identical to the other study experiments —
-        the grid parallelises over a process pool and checkpoints/resumes
+        the grid parallelises over the shm worker pool and checkpoints/resumes
         through JSONL files and per-run session snapshots.
     architecture:
         Surrogate-architecture registry key applied to every run.

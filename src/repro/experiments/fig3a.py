@@ -9,8 +9,9 @@ most visibly for ``H=16, L=3``) while Breed's two curves stay close.
 This module regenerates the same grid of runs (at a configurable scale) and
 summarises, per cell, the final train/validation losses and the overfit gap.
 The grid is executed through the :class:`~repro.workflow.study.StudyRunner`
-engine, so it can fan out over a process pool (``backend="process"``) and
-checkpoint/resume through JSONL files.
+engine, so it can fan out over the shared-memory worker pool
+(``backend="shm"``; ``"process"`` is an alias) and checkpoint/resume through
+JSONL files.
 """
 
 from __future__ import annotations

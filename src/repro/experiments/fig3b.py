@@ -8,8 +8,9 @@ legend entry.
 
 The one-factor-at-a-time grid is executed through the
 :class:`~repro.workflow.study.StudyRunner` engine — every configuration is an
-independent run, so ``backend="process"`` parallelises the whole figure and
-``resume=`` restarts a killed study where it left off.
+independent run, so ``backend="shm"`` (or its alias ``"process"``)
+parallelises the whole figure and ``resume=`` restarts a killed study where it
+left off.
 """
 
 from __future__ import annotations

@@ -275,7 +275,7 @@ class StudyService:
             marker.unlink()
         if self.enable_metrics and not telemetry.metrics_enabled():
             # export_env=True (the default) so executor worker *processes*
-            # (process/shm backends) inherit the switch and attribute per-run
+            # (shm backend) inherit the switch and attribute per-run
             # counters; stop() undoes exactly what this enabled.
             telemetry.configure(metrics=True)
             self._owns_metrics = True

@@ -4,7 +4,6 @@ from repro.workflow.executor import (
     BACKENDS,
     Executor,
     JsonlCheckpoint,
-    MultiprocessExecutor,
     RunSpec,
     SerialExecutor,
     SharedInputCache,
@@ -28,7 +27,6 @@ __all__ = [
     "BACKENDS",
     "Executor",
     "JsonlCheckpoint",
-    "MultiprocessExecutor",
     "ParameterGrid",
     "RunResult",
     "RunSpec",

@@ -11,16 +11,14 @@ is the in-Python equivalent of that workflow engine:
 * :class:`StudyInputCache` — per-process cache of the expensive study inputs
   (solver factorisation, fixed Halton validation set), keyed by scenario so
   multi-workload studies still share them within one worker.
-* :class:`SerialExecutor` / :class:`MultiprocessExecutor` /
-  :class:`SharedMemoryExecutor` — the three :class:`Executor` backends.
-  The serial backend keeps the full
+* :class:`SerialExecutor` / :class:`SharedMemoryExecutor` — the two
+  :class:`Executor` backends.  The serial backend keeps the full
   :class:`~repro.api.session.OnlineTrainingResult` (model included)
-  in-process; the multiprocess backend ships only the picklable
-  :class:`~repro.workflow.results.RunResult` back from the workers; the
-  shared-memory backend additionally shares the study inputs and result
-  series through ``multiprocessing.shared_memory`` blocks
-  (:mod:`repro.workflow.shm`) so nothing large is pickled in either
-  direction.
+  in-process; the shared-memory backend runs specs in worker processes,
+  shares the study inputs and result series through
+  ``multiprocessing.shared_memory`` blocks (:mod:`repro.workflow.shm`) and
+  ships back only the :class:`~repro.workflow.results.RunResult` metadata.
+  ``"process"`` is an alias of ``"shm"`` in :data:`BACKENDS`.
 * :class:`JsonlCheckpoint` — an append-only JSONL record of completed runs,
   written as results finish (in completion order) and read back by
   ``StudyRunner.run_all(..., resume=...)`` to skip completed runs after a
@@ -44,9 +42,8 @@ import numpy as np
 
 from repro import telemetry
 from repro.api.config import OnlineTrainingConfig
-from repro.api.session import OnlineTrainingResult
+from repro.api.session import OnlineTrainingResult, TrainingSession
 from repro.breed.samplers import BreedConfig
-from repro.melissa.run import run_online_training
 from repro.solvers.base import Solver
 from repro.surrogate.validation import ValidationSet, validation_set_for_workload
 from repro.utils.logging import get_logger
@@ -58,7 +55,6 @@ __all__ = [
     "BACKENDS",
     "Executor",
     "JsonlCheckpoint",
-    "MultiprocessExecutor",
     "RunSpec",
     "SerialExecutor",
     "SharedInputCache",
@@ -220,8 +216,8 @@ def execute_spec(
     """Execute one run spec and package its :class:`RunResult` record.
 
     This is the single run-execution path of the engine: the serial backend
-    calls it in-process, the multiprocess backend calls it inside each worker
-    (through :func:`_execute_spec_in_worker`).
+    calls it in-process, the shared-memory backend inside each worker
+    process (:func:`_shm_worker_main`).
     """
     # Deterministic crash point for the kill-and-resume matrix: fires in
     # whichever process executes the run (driver or worker).  One env lookup
@@ -245,9 +241,9 @@ def execute_spec(
             from repro.checkpoint import resume_or_start
 
             session = resume_or_start(config, solver=solver, validation_set=validation)
-            result = session.run()
         else:
-            result = run_online_training(config, solver=solver, validation_set=validation)
+            session = TrainingSession(config, solver=solver, validation_set=validation)
+        result = session.run()
     run_telemetry: Dict[str, float] = {}
     if metrics_on:
         run_telemetry = telemetry.counter_delta(
@@ -288,7 +284,7 @@ def execute_spec(
 # ---------------------------------------------------------------------------
 
 #: callback invoked as each run finishes: ``(spec_index, record)``.
-#: Called in *completion* order, which for the process backend need not be
+#: Called in *completion* order, which for the shm backend need not be
 #: spec order.
 OnRecord = Callable[[int, RunResult], None]
 
@@ -331,66 +327,6 @@ class SerialExecutor:
         return records
 
 
-# Worker-process state: one StudyInputCache per worker, living for the
-# lifetime of the pool so solver factorisations and validation sets are
-# shared across every run the worker executes (not re-done per run).
-_WORKER_CACHE: Optional[StudyInputCache] = None
-
-
-def _execute_spec_in_worker(spec: RunSpec) -> RunResult:
-    """Process-pool entry point: run one spec against the worker-local cache."""
-    global _WORKER_CACHE
-    if _WORKER_CACHE is None:
-        _WORKER_CACHE = StudyInputCache()
-    record, _ = execute_spec(spec, _WORKER_CACHE)
-    return record
-
-
-class MultiprocessExecutor:
-    """``concurrent.futures.ProcessPoolExecutor``-backed parallel backend.
-
-    Each worker rebuilds configurations from the picklable :class:`RunSpec`
-    and keeps a worker-local :class:`StudyInputCache`; only the
-    :class:`RunResult` record crosses back (the trained model stays in the
-    worker).  Records are handed to ``on_record`` in completion order — the
-    checkpoint stream — and returned re-ordered to spec order, so study
-    results are deterministic regardless of scheduling.
-
-    Workers resolve registry keys against a freshly imported ``repro``:
-    workloads/samplers registered at runtime (``@register_workload`` in a
-    script) are only visible to them under the ``fork`` start method.
-    Under ``spawn``/``forkserver`` — macOS, Windows, and Linux from
-    Python 3.14 where ``forkserver`` becomes the default — custom
-    registrations must live in an importable module, or use the serial
-    backend.
-    """
-
-    def __init__(self, max_workers: Optional[int] = None) -> None:
-        self.max_workers = max_workers
-
-    def execute(
-        self, specs: Sequence[RunSpec], on_record: Optional[OnRecord] = None
-    ) -> List[RunResult]:
-        from concurrent.futures import ProcessPoolExecutor, as_completed
-
-        if not specs:
-            return []
-        records: List[Optional[RunResult]] = [None] * len(specs)
-        max_workers = effective_worker_count(self.max_workers, len(specs), backend="process")
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            futures = {
-                pool.submit(_execute_spec_in_worker, spec): index
-                for index, spec in enumerate(specs)
-            }
-            for future in as_completed(futures):
-                index = futures[future]
-                record = future.result()
-                records[index] = record
-                if on_record is not None:
-                    on_record(index, record)
-        return [record for record in records if record is not None]
-
-
 # ---------------------------------------------------------------------------
 # Shared-memory backend
 # ---------------------------------------------------------------------------
@@ -400,10 +336,8 @@ class MultiprocessExecutor:
 _SHM_CRASH_ENV = "REPRO_SHM_TEST_CRASH_RUN"
 
 
-def effective_worker_count(
-    max_workers: Optional[int], n_specs: int, backend: str
-) -> int:
-    """Resolve a worker-pool size and log it once per study.
+def effective_worker_count(max_workers: Optional[int], n_specs: int) -> int:
+    """Resolve the shm worker-pool size and log it once per study.
 
     ``None`` defaults to ``os.cpu_count()``; either way the count is clamped
     to ``[1, n_specs]`` — more workers than runs only cost startup time.  The
@@ -412,8 +346,7 @@ def effective_worker_count(
     workers = max_workers if max_workers is not None else (os.cpu_count() or 1)
     workers = max(1, min(int(workers), n_specs))
     _LOGGER.info(
-        "%s backend: %d worker(s) for %d run(s)%s",
-        backend,
+        "shm backend: %d worker(s) for %d run(s)%s",
         workers,
         n_specs,
         "" if max_workers is not None else " (defaulted to CPU count)",
@@ -504,27 +437,33 @@ def _shm_worker_main(task_queue, result_queue, free_slots, inputs_manifest, ring
 
 
 class SharedMemoryExecutor:
-    """Zero-copy parallel backend over ``multiprocessing.shared_memory``.
+    """Parallel backend: worker processes with zero-copy shared inputs and results.
 
-    Differences from :class:`MultiprocessExecutor`, all invisible to callers
-    (records are bit-identical and arrive through the same ``on_record``
-    completion stream):
+    Each worker rebuilds run configurations from the picklable
+    :class:`RunSpec` and executes them with :func:`execute_spec`; the trained
+    model stays in the worker.  Records are handed to ``on_record`` in
+    completion order — the checkpoint stream — and returned re-ordered to
+    spec order, bit-identical to the serial backend's.
 
-    * the parent builds each distinct scenario's validation set **once** and
+    * The parent builds each distinct scenario's validation set **once** and
       publishes it through :class:`~repro.workflow.shm.SharedStudyInputs`;
       workers attach zero-copy instead of re-running the solver over the
-      validation trajectories per worker process,
-    * result series return through a preallocated
+      validation trajectories per worker process.
+    * Result series return through a preallocated
       :class:`~repro.workflow.shm.SharedResultRing` — workers write float
       arrays in place and send only run metadata; series too large for a
-      ring slot transparently fall back to pickling,
-    * worker processes are plain ``multiprocessing.Process`` loops over a
-      task queue, so a crashed worker (OOM kill, segfault) is detected and
-      reported as a ``RuntimeError`` instead of hanging the study, with all
-      shared segments cleaned up in every path.
+      ring slot transparently fall back to pickling.
+    * Workers are plain ``multiprocessing.Process`` loops over a task queue,
+      so a crashed worker (OOM kill, segfault) is detected and reported as a
+      ``RuntimeError`` instead of hanging the study, with all shared segments
+      cleaned up in every path.
 
-    The registry-visibility caveat of the process backend applies unchanged
-    (workloads registered at runtime need ``fork`` or an importable module).
+    Workers use the default ``multiprocessing`` start method and resolve
+    registry keys against their own ``repro`` import: workloads/samplers
+    registered at runtime (``@register_workload`` in a script) are only
+    visible to them under ``fork``.  Under ``spawn``/``forkserver`` — macOS,
+    Windows, and Linux from Python 3.14 — custom registrations must live in
+    an importable module, or use the serial backend.
     """
 
     def __init__(
@@ -548,7 +487,7 @@ class SharedMemoryExecutor:
 
         if not specs:
             return []
-        max_workers = effective_worker_count(self.max_workers, len(specs), backend="shm")
+        max_workers = effective_worker_count(self.max_workers, len(specs))
 
         # Build every distinct scenario's inputs once, in the parent, and
         # publish the validation arrays as shared blocks.
@@ -635,7 +574,9 @@ class SharedMemoryExecutor:
         return [record for record in records if record is not None]
 
 
-#: registry of executor-backend names accepted by StudyRunner / the CLI
+#: registry of executor-backend names accepted by StudyRunner / the CLI;
+#: ``"process"`` is kept as an alias of ``"shm"`` so persisted job and
+#: campaign specs naming it still load and run
 BACKENDS = ("serial", "process", "shm")
 
 
@@ -647,9 +588,7 @@ def get_executor(
     """Construct the executor backend named ``backend``."""
     if backend == "serial":
         return SerialExecutor(cache=cache)
-    if backend == "process":
-        return MultiprocessExecutor(max_workers=max_workers)
-    if backend == "shm":
+    if backend in ("process", "shm"):
         # The caller's cache seeds the parent-side input build, so a runner
         # that already built its scenario inputs shares instead of redoing.
         return SharedMemoryExecutor(max_workers=max_workers, cache=cache)
@@ -666,9 +605,10 @@ class JsonlCheckpoint:
 
     One line per completed :class:`RunResult`, written (and flushed) as each
     run finishes so a killed study loses at most the in-flight runs.  Loading
-    tolerates a truncated final line — the tail a crash mid-write leaves
-    behind — and keeps the *last* record per name, so re-running a study into
-    the same file is harmless.
+    tolerates a truncated line — the tail a crash mid-write leaves behind,
+    which the next append terminates rather than writes onto — and keeps the
+    *last* record per name, so re-running a study into the same file is
+    harmless.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -697,6 +637,14 @@ class JsonlCheckpoint:
 
     def append(self, record: RunResult) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a") as stream:
-            stream.write(json.dumps(record.to_dict()) + "\n")
+        line = (json.dumps(record.to_dict()) + "\n").encode()
+        with self.path.open("ab+") as stream:
+            # A crash mid-write leaves a torn last line: terminate it, so this
+            # record starts a line of its own instead of fusing with the
+            # fragment (load() then skips just the fragment).
+            if stream.tell() > 0:
+                stream.seek(-1, os.SEEK_END)
+                if stream.read(1) != b"\n":
+                    line = b"\n" + line
+            stream.write(line)
             stream.flush()

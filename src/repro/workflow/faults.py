@@ -1,7 +1,7 @@
 """Deterministic fault injection for the kill-and-resume test matrix.
 
 The study/campaign resilience tests need to crash a *chosen* run in a
-*chosen* process — the serial driver, a process/shm worker, or the campaign
+*chosen* process — the serial driver, an shm worker, or the campaign
 orchestrator at a run boundary — deterministically and from outside the
 process (env vars cross every backend's worker boundary for free, the same
 trick the shm crash tests use).  This module is the single injection point:
@@ -15,7 +15,7 @@ trick the shm crash tests use).  This module is the single injection point:
 * ``REPRO_FAULT_MODE`` — ``"sigkill"`` (default: the hosting process dies
   mid-flight, nothing flushes) or ``"raise"`` (an :class:`InjectedFault`
   propagates through the normal error paths; it lives here, importable from
-  ``repro``, precisely so process-backend workers can pickle it back).
+  ``repro``, so parent and worker processes resolve the same class).
 * ``REPRO_FAULT_ARM`` — optional path to an *arm file*; the fault only fires
   while the file exists and consumes it atomically when it does, making
   ``raise`` faults one-shot (a retried node succeeds on its second attempt).

@@ -113,7 +113,7 @@ class StudyResults:
         quantities the study-throughput bench scenarios and EXPERIMENTS
         runtime notes report.  Timing metrics are *measurement*, never part
         of any equality contract (see ``TIMING_METRICS`` in
-        :mod:`repro.workflow.executor`): under the process backend the total
+        :mod:`repro.workflow.executor`): under the shm backend the total
         is summed worker time, not the study's wall-clock span.
         """
         elapsed = [

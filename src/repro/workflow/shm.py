@@ -1,10 +1,11 @@
 """Shared-memory plumbing for zero-copy parallel studies.
 
-The process executor ships every study input and result across process
-boundaries by pickling: workers rebuild the (expensive) per-scenario
-validation set from scratch, and every :class:`~repro.workflow.results.RunResult`
-— metric *series* included — is serialized on its way back.  This module is
-the zero-copy alternative the ``"shm"`` backend builds on:
+A parallel study would otherwise ship every study input and result across
+process boundaries by pickling: workers would rebuild the (expensive)
+per-scenario validation set from scratch, and every
+:class:`~repro.workflow.results.RunResult` — metric *series* included —
+would be serialized on its way back.  This module is the zero-copy transport
+the ``"shm"`` backend builds on:
 
 * :class:`SharedArrayPool` — named ``multiprocessing.shared_memory`` blocks
   behind a picklable manifest ``(key, block name, dtype, shape)`` with

@@ -9,11 +9,11 @@ fixed — which also avoids re-factorising the implicit solver per run.
 Execution is delegated to a pluggable :mod:`repro.workflow.executor` backend:
 ``backend="serial"`` runs in-process (and retains the full
 :class:`~repro.api.session.OnlineTrainingResult` per run),
-``backend="process"`` fans the runs out over a worker pool, streaming
-picklable :class:`~repro.workflow.results.RunResult` records back, and
-``backend="shm"`` additionally shares study inputs and result series
-through ``multiprocessing.shared_memory`` (zero-copy; see
-:mod:`repro.workflow.shm`).  Either way ``run_all`` can checkpoint completed
+``backend="shm"`` fans the runs out over a worker pool, sharing study inputs
+and result series through ``multiprocessing.shared_memory`` (zero-copy; see
+:mod:`repro.workflow.shm`) and streaming
+:class:`~repro.workflow.results.RunResult` records back; ``"process"`` is an
+alias of ``"shm"``.  Either way ``run_all`` can checkpoint completed
 runs to a JSONL file as they finish and, given ``resume=``, skip the runs a
 previous (interrupted) invocation already completed.
 """
@@ -53,19 +53,20 @@ _LOGGER = get_logger("workflow")
 class StudyRunner:
     """Execute a set of run configurations derived from one base configuration.
 
-    ``backend`` selects the executor (``"serial"``, ``"process"`` or
-    ``"shm"``); ``max_workers`` bounds the worker pool of the parallel
-    backends.  After a serial ``run_all``/``run_one``, :attr:`full_results`
-    maps run name → :class:`OnlineTrainingResult` for experiments that need
-    the trained model or parameter vectors; the parallel backends leave it
-    empty (only the lightweight records cross back from the workers).
+    ``backend`` selects the executor (``"serial"`` or ``"shm"``, with
+    ``"process"`` an alias of ``"shm"``); ``max_workers`` bounds the worker
+    pool of the parallel backend.  After a serial ``run_all``/``run_one``,
+    :attr:`full_results` maps run name → :class:`OnlineTrainingResult` for
+    experiments that need the trained model or parameter vectors; the
+    parallel backend leaves it empty (only the lightweight records cross
+    back from the workers).
     """
 
     base_config: OnlineTrainingConfig
     study_name: str = "study"
     #: executor backend: any name in :data:`repro.workflow.executor.BACKENDS`
     backend: str = "serial"
-    #: worker-pool size for the parallel backends (None → CPU count)
+    #: worker-pool size for the parallel backend (None → CPU count)
     max_workers: Optional[int] = None
     #: optional callback invoked after each run, e.g. for progress reporting
     on_result: Optional[Callable[[RunResult], None]] = None

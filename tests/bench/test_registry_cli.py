@@ -82,6 +82,21 @@ class TestBenchCli:
         assert [e["name"] for e in report["results"]] == ["reservoir/draw"]
         assert report["settings"] == {"repeats": 1, "warmup": 0}
 
+    def test_hotpath_scenarios_report_work(self):
+        hotpaths = [
+            "nn/forward",
+            "nn/optimizer_step",
+            "nn/train_step",
+            "reservoir/draw",
+            "reservoir/ingest",
+            "session/online_smoke",
+            "solver/advection2d",
+            "solver/heat2d_explicit",
+        ]
+        report = run_scenarios(names=hotpaths, repeats=1, warmup=0)
+        assert [entry["name"] for entry in report["results"]] == hotpaths
+        assert all(entry["n_units"] > 0 for entry in report["results"])
+
     def test_unknown_scenario_exits_two(self, capsys):
         assert cli_main(["bench", "--scenario", "nope/nothing"]) == 2
         assert "unknown scenario" in capsys.readouterr().err

@@ -208,6 +208,37 @@ class TestRestore:
             restore_session(path)
 
 
+class TestCompressedSnapshot:
+    """``compressed=True`` trades save time for disk, never for state."""
+
+    @pytest.fixture
+    def session(self, make_config) -> TrainingSession:
+        session = TrainingSession(make_config())
+        while session.server.iteration < 20:
+            session.tick()
+        return session
+
+    @staticmethod
+    def _size(path) -> int:
+        return sum(f.stat().st_size for f in path.rglob("*") if f.is_file())
+
+    def test_compressed_snapshot_is_no_larger(self, session, tmp_path):
+        plain = save_session(session, tmp_path / "plain")
+        compressed = save_session(session, tmp_path / "compressed", compressed=True)
+        assert self._size(compressed) <= self._size(plain)
+
+    def test_compressed_snapshot_restores_same_state(self, session, tmp_path):
+        restored = restore_session(save_session(session, tmp_path, compressed=True))
+        assert restored.server.iteration == session.server.iteration
+        assert restored.n_ticks == session.n_ticks
+        for key, value in session.model.state_dict().items():
+            np.testing.assert_array_equal(restored.model.state_dict()[key], value)
+        # The restored session carries on exactly as the original does.
+        resumed, reference = restored.run(), session.run()
+        assert resumed.history.train_losses == reference.history.train_losses
+        assert resumed.history.validation_losses == reference.history.validation_losses
+
+
 class TestResumeOrStart:
     def test_starts_fresh_without_snapshots(self, make_config, tmp_path):
         config = make_config(checkpoint_dir=str(tmp_path / "empty"))

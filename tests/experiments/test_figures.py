@@ -1,9 +1,9 @@
 """Integration tests of the figure-reproduction harness (tiny scale).
 
 Each test runs the real experiment pipeline at a reduced size (fewer
-architecture cells / factor values than the benches) and checks the structural
-properties the paper reports.  Marked ``slow`` tests exercise the full smoke
-scale used by the benchmarks.
+architecture cells / factor values than ``python -m repro.cli <figure>``) and
+checks the structural properties the paper reports.  Marked ``slow`` tests
+exercise the full smoke scale the figure CLI defaults to.
 """
 
 from __future__ import annotations

@@ -40,6 +40,13 @@ class TestTable1:
         assert config.sigma == 25.0
         assert config.r_end == pytest.approx(0.9)
 
+    def test_every_varied_value_builds_a_config(self):
+        for study in ("study2", "study3"):
+            for factor, values in VARIED_VALUES[study].items():
+                for value in values:
+                    config = breed_config_for_study(study, **{factor: value})
+                    assert getattr(config, factor) == value
+
     def test_breed_config_missing_varied_value(self):
         # Study 3 varies r_start/r_end/r_breakpoint but fixes them in the row,
         # so it builds without overrides; a fully-specified study must not raise.

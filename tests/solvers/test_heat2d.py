@@ -104,6 +104,15 @@ class TestImplicitSolver:
         interior = (slice(2, -2), slice(2, -2))
         assert np.abs(final[interior] - analytic[interior]).max() < 10.0  # Kelvin, coarse grid
 
+    def test_finer_grid_converges_within_5_kelvin(self):
+        config = Heat2DConfig(grid_size=32, n_timesteps=600)
+        solver = Heat2DImplicitSolver(config)
+        params = [300.0, 100.0, 500.0, 200.0, 400.0]
+        final = solver.solve(params).final_field.reshape(32, 32)
+        analytic = steady_state_2d(config.grid.coordinates, *params[1:])
+        interior = (slice(2, -2), slice(2, -2))
+        assert np.abs(final[interior] - analytic[interior]).max() < 5.0
+
     def test_steady_state_solver_matches_analytic(self):
         config = Heat2DConfig(grid_size=24, n_timesteps=1)
         solver = Heat2DImplicitSolver(config)

@@ -21,7 +21,7 @@ class TestParser:
 
         parser = build_parser()
         assert _resolve_backend(parser.parse_args(["fig3b"])) == ("serial", None)
-        assert _resolve_backend(parser.parse_args(["fig3b", "--jobs", "4"])) == ("process", 4)
+        assert _resolve_backend(parser.parse_args(["fig3b", "--jobs", "4"])) == ("shm", 4)
         assert _resolve_backend(parser.parse_args(["fig3b", "--jobs", "1"])) == ("serial", 1)
         assert _resolve_backend(
             parser.parse_args(["fig3b", "--backend", "serial", "--jobs", "4"])

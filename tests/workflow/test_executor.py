@@ -11,7 +11,6 @@ import pytest
 from repro.workflow.executor import (
     _SHM_CRASH_ENV,
     JsonlCheckpoint,
-    MultiprocessExecutor,
     RunSpec,
     SerialExecutor,
     SharedMemoryExecutor,
@@ -93,7 +92,7 @@ class TestStudyInputCache:
 class TestExecutorBackends:
     def test_get_executor_names(self):
         assert isinstance(get_executor("serial"), SerialExecutor)
-        assert isinstance(get_executor("process", max_workers=2), MultiprocessExecutor)
+        assert isinstance(get_executor("process", max_workers=2), SharedMemoryExecutor)
         assert isinstance(get_executor("shm", max_workers=2), SharedMemoryExecutor)
         with pytest.raises(ValueError):
             get_executor("slurm")
@@ -106,50 +105,27 @@ class TestExecutorBackends:
         assert set(executor.full_results) == {"r0"}
         assert executor.full_results["r0"].method in ("Breed", "Random")
 
-    def test_process_backend_bit_identical_to_serial(self, tiny_run_config):
-        serial = StudyRunner(base_config=tiny_run_config, study_name="det").run_all(GRID)
-        process = StudyRunner(
-            base_config=tiny_run_config, study_name="det", backend="process", max_workers=2
-        ).run_all(GRID)
-        assert [r.name for r in serial] == [r.name for r in process]
-        for serial_run, process_run in zip(serial, process):
-            # Bit-identical series and metrics (timing metrics measure
-            # wall-clock and are the only permitted difference).
-            assert serial_run.series == process_run.series
-            assert _comparable_metrics(serial_run) == _comparable_metrics(process_run)
-            assert serial_run.workload == process_run.workload
-            assert serial_run.seed == process_run.seed
-
-    def test_completion_order_reordered_to_spec_order(self, tiny_run_config):
-        seen = []
-        executor = MultiprocessExecutor(max_workers=2)
-        specs = StudyRunner(base_config=tiny_run_config, study_name="ord").build_specs(GRID)
-        records = executor.execute(specs, on_record=lambda i, r: seen.append(r.name))
-        # Whatever order runs completed in, the returned list is spec order.
-        assert [r.name for r in records] == [s.name for s in specs]
-        assert sorted(seen) == sorted(s.name for s in specs)
-
     def test_default_worker_count_is_cpu_count_clamped_to_specs(self, monkeypatch, caplog):
         import repro.workflow.executor as executor_module
 
         monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 8)
         with caplog.at_level(logging.INFO, logger="repro.workflow"):
-            assert effective_worker_count(None, 3, backend="process") == 3
+            assert effective_worker_count(None, 3) == 3
         logged = [r for r in caplog.records if "worker(s)" in r.getMessage()]
         assert len(logged) == 1
         assert "defaulted to CPU count" in logged[0].getMessage()
 
     def test_explicit_worker_count_clamped_to_at_least_one(self, caplog):
         with caplog.at_level(logging.INFO, logger="repro.workflow"):
-            assert effective_worker_count(0, 5, backend="shm") == 1
-            assert effective_worker_count(16, 5, backend="shm") == 5
+            assert effective_worker_count(0, 5) == 1
+            assert effective_worker_count(16, 5) == 5
         assert all("defaulted" not in r.getMessage() for r in caplog.records)
 
     def test_cpu_count_none_falls_back_to_one_worker(self, monkeypatch):
         import repro.workflow.executor as executor_module
 
         monkeypatch.setattr(executor_module.os, "cpu_count", lambda: None)
-        assert effective_worker_count(None, 4, backend="process") == 1
+        assert effective_worker_count(None, 4) == 1
 
 
 @pytest.mark.slow  # spawns real shm worker pools
@@ -172,7 +148,7 @@ class TestSharedMemoryBackend:
             assert serial_run.seed == shm_run.seed
 
     def test_all_backends_bit_identical_across_all_workloads(self, tiny_run_config):
-        """serial ↔ process ↔ shm parity on every built-in workload.
+        """serial ↔ shm parity on every built-in workload.
 
         One study whose runs each select a different workload (the
         cross-workload shape) — which also exercises the shm backend's
@@ -203,17 +179,13 @@ class TestSharedMemoryBackend:
             backend: StudyRunner(
                 base_config=config, study_name="par", backend=backend, max_workers=2
             ).run_all(configurations, name_key="_name")
-            for backend in ("serial", "process", "shm")
+            for backend in ("serial", "shm")
         }
         assert len(per_backend["serial"]) == len(configurations)
-        for backend in ("process", "shm"):
-            for ref_run, run in zip(per_backend["serial"], per_backend[backend]):
-                assert ref_run.name == run.name
-                assert ref_run.series == run.series, (ref_run.name, backend)
-                assert _comparable_metrics(ref_run) == _comparable_metrics(run), (
-                    ref_run.name,
-                    backend,
-                )
+        for ref_run, run in zip(per_backend["serial"], per_backend["shm"]):
+            assert ref_run.name == run.name
+            assert ref_run.series == run.series, ref_run.name
+            assert _comparable_metrics(ref_run) == _comparable_metrics(run), ref_run.name
 
     def test_completion_stream_and_spec_order(self, tiny_run_config):
         seen = []
@@ -349,6 +321,23 @@ class TestCheckpointResume:
         path.write_text(text[: len(text) - len(text.splitlines()[-1]) // 2 - 1])
         completed = JsonlCheckpoint(path).load()
         assert len(completed) == 1  # the intact line survives
+
+    def test_append_after_truncated_line_starts_fresh_line(self, tmp_path):
+        path = tmp_path / "study.jsonl"
+        first, second, third = (
+            RunResult(name=name, config={}, metrics={"final_train_loss": 0.5}) for name in "abc"
+        )
+        checkpoint = JsonlCheckpoint(path)
+        checkpoint.append(first)
+        checkpoint.append(second)
+        # A crash mid-write of `second`: its line is cut, without a newline.
+        text = path.read_text()
+        path.write_text(text[: len(text) - len(text.splitlines()[-1]) // 2 - 1])
+        # The resumed study re-appends `second` and goes on to `third`; neither
+        # may fuse with the fragment.
+        checkpoint.append(second)
+        checkpoint.append(third)
+        assert set(checkpoint.load()) == {first.name, second.name, third.name}
 
     def test_missing_checkpoint_is_empty(self, tmp_path):
         assert JsonlCheckpoint(tmp_path / "absent.jsonl").load() == {}
