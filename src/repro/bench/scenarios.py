@@ -13,6 +13,9 @@ Importing this module registers the scenarios (see
   ``--compare`` between a dark and an enabled report bounds the cost of
   graph recording),
 * ``reservoir/*`` — buffer ingest (with eviction) and batch draws,
+* ``validation/*`` — the fixed validation set at the paper's 64×64 output
+  geometry: building it from solver trajectories, and evaluating the
+  surrogate's validation loss over it,
 * ``checkpoint/*`` — full-session snapshot save and restore,
 * ``session/*`` — a small end-to-end on-line training run,
 * ``telemetry/*`` — the same session body with metrics + tracing fully
@@ -331,6 +334,69 @@ def _reservoir_draw() -> ScenarioRun:
         for _ in range(inner):
             reservoir.sample_batch(64)
         return inner
+
+    return ScenarioRun(fn=fn)
+
+
+# ----------------------------------------------------------------- validation
+
+
+@register_scenario(
+    "validation/build",
+    units="rows",
+    description="validation-set assembly: 20 trajectories x 101 replayed 64x64 heat2d fields "
+                "(solver time excluded; see solver/heat2d)",
+)
+def _validation_build() -> ScenarioRun:
+    from repro.api.workloads import Heat2DWorkload
+    from repro.solvers.base import Solver
+    from repro.solvers.heat2d import Heat2DConfig
+    from repro.surrogate.validation import build_validation_set
+
+    workload = Heat2DWorkload(heat=Heat2DConfig(grid_size=64, n_timesteps=100))
+    trajectory = list(workload.build_solver().steps(_trajectory_parameters(workload.bounds, 1)[0]))
+
+    class ReplaySolver(Solver):
+        """Yields one stored trajectory for every parameter vector."""
+
+        n_timesteps = workload.n_timesteps
+        field_size = workload.output_dim
+        parameter_dim = workload.bounds.dim
+
+        def steps(self, parameters):
+            return iter(trajectory)
+
+    solver, scalers = ReplaySolver(), workload.build_scalers()
+
+    def fn() -> int:
+        return len(build_validation_set(solver, workload.bounds, scalers, n_trajectories=20))
+
+    return ScenarioRun(fn=fn)
+
+
+@register_scenario(
+    "validation/loss",
+    units="rows",
+    description="validation loss of the H=64, L=3 surrogate over 2020 rows of 4096 outputs",
+)
+def _validation_loss() -> ScenarioRun:
+    from repro.surrogate.validation import ValidationSet, validation_loss
+
+    model, _, _ = _surrogate()
+    rng = np.random.default_rng(4)
+    n_trajectories, n_timesteps = 20, 100
+    n_rows = n_trajectories * (n_timesteps + 1)
+    validation_set = ValidationSet(
+        inputs=rng.random((n_rows, 6)),
+        targets=rng.random((n_rows, 64 * 64)),
+        parameters=rng.random((n_trajectories, 5)),
+        n_trajectories=n_trajectories,
+        n_timesteps=n_timesteps,
+    )
+
+    def fn() -> int:
+        validation_loss(model, validation_set)
+        return n_rows
 
     return ScenarioRun(fn=fn)
 

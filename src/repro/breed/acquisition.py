@@ -48,6 +48,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import telemetry
+
 __all__ = ["NonFiniteLossError", "SampleLossObservation", "LossDeviationTracker"]
 
 
@@ -60,6 +62,9 @@ class NonFiniteLossError(FloatingPointError):
         NN iteration of the offending batch (``None`` when not known).
     simulation_ids:
         Simulations whose samples carried the non-finite values.
+
+    Constructing one counts the rejection in ``repro_breed_nonfinite_total``
+    (an error path, so the registry lookup is not cached).
     """
 
     def __init__(
@@ -68,6 +73,10 @@ class NonFiniteLossError(FloatingPointError):
         super().__init__(message)
         self.iteration = iteration
         self.simulation_ids = [int(sid) for sid in simulation_ids]
+        telemetry.metrics().counter(
+            "repro_breed_nonfinite_total",
+            help="non-finite sample losses or acquisition values rejected by Breed",
+        ).inc()
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,11 @@ These free functions mirror a minimal subset of ``torch.nn.functional`` so the
 surrogate model and training loop read like their PyTorch equivalents in the
 original Melissa code base.
 
-The compute-heavy kernels (:func:`linear`, :func:`conv2d`) are recorded as
-*single* ops on the autograd graph: one fused forward, and one registered VJP
-(see :func:`repro.nn.tensor.register_vjp`) computing every parent gradient in
-one pass — instead of the chain of primitive nodes the composed form would
+The compute-heavy kernels (:func:`linear`, :func:`conv2d`,
+:func:`per_sample_mse`) are recorded as *single* ops on the autograd graph:
+one fused forward, and one registered VJP (see
+:func:`repro.nn.tensor.register_vjp`) computing every parent gradient in one
+pass — instead of the chain of primitive nodes the composed form would
 record.  The arithmetic of each fused VJP is the exact operation sequence of
 the composed form, so results and gradients are bit-identical; the fusion
 removes per-layer graph bookkeeping and skips input gradients entirely when
@@ -21,7 +22,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from repro.nn.tensor import Node, Tensor, as_tensor, needs_grad, register_vjp
+from repro.nn.tensor import Node, Tensor, _unbroadcast, as_tensor, needs_grad, register_vjp
 
 __all__ = [
     "linear",
@@ -54,7 +55,7 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
         return out
     out = xd @ w.T
     if bias is not None:
-        out = out + bias.data
+        out += bias.data  # into the fresh GEMM result: no second output-sized array
         parents = (x, weight, bias)
     else:
         parents = (x, weight)
@@ -214,14 +215,38 @@ def per_sample_mse(prediction: Tensor, target: Tensor) -> Tensor:
     This is the quantity Breed consumes: the loss of each individual sample in
     a batch (``l_{jt}`` in the paper), from which batch mean/std and the
     deviation statistic are computed without any extra forward passes.
+
+    Recorded as one fused ``"per_sample_mse"`` node that saves ``p − t``; its
+    VJP is the arithmetic of the composed ``sub → mul → mean`` chain, without
+    that chain's field-sized temporaries.  A single sample (1-D) has no
+    feature axes, so it returns the squared errors.
     """
-    target = as_tensor(target)
-    diff = prediction - target
-    squared = diff * diff
-    if squared.ndim == 1:
-        return squared
-    axes = tuple(range(1, squared.ndim))
-    return squared.mean(axis=axes)
+    prediction, target = as_tensor(prediction), as_tensor(target)
+    diff = prediction.data - target.data
+    axes = tuple(range(1, diff.ndim))
+    return prediction._make(
+        (diff * diff).mean(axis=axes), (prediction, target), "per_sample_mse", saved=(diff,)
+    )
+
+
+@register_vjp("per_sample_mse")
+def _vjp_per_sample_mse(node: Node, grad: np.ndarray):
+    """Backward of :func:`per_sample_mse` in the composed chain's exact order.
+
+    The mean VJP spreads ``grad / n_features`` over the feature axes; the
+    ``diff * diff`` node then contributes ``g * diff`` once per operand, and
+    the two identical contributions sum to ``c + c``; ``sub`` routes that
+    to the prediction and its negation to the target.
+    """
+    prediction, target = node.parents
+    (diff,) = node.saved
+    denom = int(np.prod(diff.shape[1:]))
+    g = np.expand_dims(np.asarray(grad, dtype=np.float64) / denom, axis=tuple(range(1, diff.ndim)))
+    grad_diff = g * diff
+    np.add(grad_diff, grad_diff, out=grad_diff)
+    grad_p = _unbroadcast(grad_diff, prediction.shape) if needs_grad(prediction) else None
+    grad_t = _unbroadcast(-grad_diff, target.shape) if needs_grad(target) else None
+    return grad_p, grad_t
 
 
 def l1_loss(prediction: Tensor, target: Tensor, reduction: str = "mean") -> Tensor:

@@ -527,7 +527,9 @@ def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
 # Every rule is the *exact arithmetic* of the historical hand-wired backward
 # closures (same numpy expressions, same evaluation order), so gradients are
 # bit-identical to the pre-tape engine — proven by the oracle tests in
-# ``tests/nn/test_tape_oracle.py``.
+# ``tests/nn/test_tape_oracle.py``.  Binary rules return ``None`` for a parent
+# that needs no gradient (a constant target, say) instead of computing a
+# contribution the router would drop.
 # ---------------------------------------------------------------------------
 
 
@@ -535,8 +537,8 @@ def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
 def _vjp_add(node: Node, grad: np.ndarray):
     a, b = node.parents
     return (
-        _unbroadcast(grad, a.data.shape),
-        _unbroadcast(grad, b.data.shape),
+        _unbroadcast(grad, a.data.shape) if needs_grad(a) else None,
+        _unbroadcast(grad, b.data.shape) if needs_grad(b) else None,
     )
 
 
@@ -544,26 +546,28 @@ def _vjp_add(node: Node, grad: np.ndarray):
 def _vjp_sub(node: Node, grad: np.ndarray):
     a, b = node.parents
     return (
-        _unbroadcast(grad, a.data.shape),
-        _unbroadcast(-grad, b.data.shape),
+        _unbroadcast(grad, a.data.shape) if needs_grad(a) else None,
+        _unbroadcast(-grad, b.data.shape) if needs_grad(b) else None,
     )
 
 
 @register_vjp("mul")
 def _vjp_mul(node: Node, grad: np.ndarray):
+    a_t, b_t = node.parents
     a, b = node.saved
     return (
-        _unbroadcast(grad * b, a.shape),
-        _unbroadcast(grad * a, b.shape),
+        _unbroadcast(grad * b, a.shape) if needs_grad(a_t) else None,
+        _unbroadcast(grad * a, b.shape) if needs_grad(b_t) else None,
     )
 
 
 @register_vjp("div")
 def _vjp_div(node: Node, grad: np.ndarray):
+    a_t, b_t = node.parents
     a, b = node.saved
     return (
-        _unbroadcast(grad / b, a.shape),
-        _unbroadcast(-grad * a / (b * b), b.shape),
+        _unbroadcast(grad / b, a.shape) if needs_grad(a_t) else None,
+        _unbroadcast(-grad * a / (b * b), b.shape) if needs_grad(b_t) else None,
     )
 
 

@@ -43,8 +43,10 @@ class MinMaxScaler:
         return self.low.shape[0]
 
     def transform(self, values: np.ndarray) -> np.ndarray:
+        """``(values − low) / (high − low)``, dividing the difference in place."""
         arr = np.asarray(values, dtype=np.float64)
-        return (arr - self.low) / (self.high - self.low)
+        out = arr - self.low
+        return np.divide(out, self.high - self.low, out=out)
 
     def inverse_transform(self, values: np.ndarray) -> np.ndarray:
         arr = np.asarray(values, dtype=np.float64)

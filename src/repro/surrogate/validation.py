@@ -62,19 +62,33 @@ def build_validation_set(
     rng: Optional[np.random.Generator] = None,
     scramble: bool = False,
 ) -> ValidationSet:
-    """Generate the fixed Halton-sequence validation set by running the solver."""
+    """Generate the fixed Halton-sequence validation set by running the solver.
+
+    The targets are one preallocated ``(n_trajectories · (T+1), field_size)``
+    array: each yielded field is encoded and copied into its row, so the
+    build's peak memory is the set itself plus one field.
+    """
     if n_trajectories <= 0:
         raise ValueError("n_trajectories must be positive")
     vectors = halton_in_bounds(n_trajectories, bounds, skip=skip, rng=rng, scramble=scramble)
-    inputs = []
-    targets = []
-    for params in vectors:
+    n_steps = solver.n_timesteps + 1
+    targets = np.empty((n_trajectories * n_steps, solver.field_size), dtype=np.float64)
+    for index, params in enumerate(vectors):
+        offset = index * n_steps
+        timestep = -1
         for timestep, field in enumerate(solver.steps(params)):
-            inputs.append(scalers.encode_input(params, timestep))
-            targets.append(scalers.encode_output(field))
+            if timestep == n_steps:
+                break
+            targets[offset + timestep] = scalers.encode_output(field)
+        if timestep != n_steps - 1:
+            raise ValueError(f"solver must yield n_timesteps + 1 = {n_steps} fields per trajectory")
+    inputs = scalers.encode_input(
+        np.repeat(vectors, n_steps, axis=0),
+        np.tile(np.arange(n_steps), n_trajectories),
+    )
     return ValidationSet(
-        inputs=np.stack(inputs, axis=0),
-        targets=np.stack(targets, axis=0),
+        inputs=inputs,
+        targets=targets,
         parameters=vectors,
         n_trajectories=n_trajectories,
         n_timesteps=solver.n_timesteps,
@@ -118,13 +132,18 @@ def validation_loss(
     batch_size: int = 1024,
 ) -> float:
     """MSE of the surrogate over the whole validation set (normalised units)."""
+    n_rows = len(validation_set)
+    targets = validation_set.targets
+    # One scratch buffer for every batch's squared error: the model output
+    # is never written to, and no per-batch temporaries are allocated.
+    scratch = np.empty((min(batch_size, n_rows),) + targets.shape[1:], dtype=np.float64)
     total = 0.0
     count = 0
     with nn.no_grad():
-        for start in range(0, len(validation_set), batch_size):
-            stop = min(start + batch_size, len(validation_set))
+        for start in range(0, n_rows, batch_size):
+            stop = min(start + batch_size, n_rows)
             prediction = model(Tensor(validation_set.inputs[start:stop]))
-            diff = prediction.data - validation_set.targets[start:stop]
-            total += float(np.sum(diff * diff))
+            diff = np.subtract(prediction.data, targets[start:stop], out=scratch[: stop - start])
+            total += float(np.sum(np.multiply(diff, diff, out=diff)))
             count += diff.size
     return total / count if count else float("nan")

@@ -92,6 +92,8 @@ class TestBenchCli:
             "session/online_smoke",
             "solver/advection2d",
             "solver/heat2d_explicit",
+            "validation/build",
+            "validation/loss",
         ]
         report = run_scenarios(names=hotpaths, repeats=1, warmup=0)
         assert [entry["name"] for entry in report["results"]] == hotpaths

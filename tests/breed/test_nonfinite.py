@@ -14,14 +14,21 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.api import TrainingSession
-from repro.breed import AdaptiveImportanceSampler, LossDeviationTracker, NonFiniteLossError
+from repro.breed import (
+    AdaptiveImportanceSampler,
+    LossDeviationTracker,
+    NonFiniteLossError,
+    SampleLossObservation,
+)
 from repro.campaign import CampaignManifest, CampaignRunner, CampaignSpec
 from repro.experiments.base import base_config
 from repro.melissa.server import TrainingServer
 from repro.sampling.bounds import HEAT2D_BOUNDS
 
 POISONED_ITERATION = 12
+NONFINITE_COUNTER = "repro_breed_nonfinite_total"
 
 
 def _smoke_config(**overrides):
@@ -49,6 +56,14 @@ def poisoned_training(monkeypatch):
     return poisoned_ids
 
 
+@pytest.fixture
+def metrics_on():
+    """A process-wide metrics registry for one test, then the no-op default."""
+    telemetry.configure(metrics=True)
+    yield telemetry.metrics()
+    telemetry.disable()
+
+
 class TestTracker:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_batch_with_non_finite_loss_raises_before_any_update(self, bad):
@@ -70,6 +85,15 @@ class TestTracker:
             np.testing.assert_array_equal(got["counts"], want["counts"])
         assert all(np.isfinite(q) for q in tracker.all_q_values().values())
 
+    def test_single_observation_raise_is_counted(self, metrics_on):
+        tracker = LossDeviationTracker()
+        observation = SampleLossObservation(
+            simulation_id=0, timestep=0, iteration=5, sample_loss=np.nan, batch_mean=0.1, batch_std=0.2
+        )
+        with pytest.raises(NonFiniteLossError):
+            tracker.observe(observation)
+        assert metrics_on.counter_values()[NONFINITE_COUNTER] == 1.0
+
 
 class TestAMIS:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -85,6 +109,18 @@ class TestAMIS:
                 rng=np.random.default_rng(0),
             )
 
+    def test_propose_raise_is_counted(self, metrics_on):
+        sampler = AdaptiveImportanceSampler(HEAT2D_BOUNDS)
+        with pytest.raises(NonFiniteLossError):
+            sampler.propose(
+                np.full((2, 5), 300.0),
+                np.array([np.inf, 0.2]),
+                n_samples=4,
+                concentrate_probability=0.5,
+                rng=np.random.default_rng(0),
+            )
+        assert metrics_on.counter_values()[NONFINITE_COUNTER] == 1.0
+
 
 class TestSessionAndStudy:
     def test_smoke_session_with_nan_loss_raises(self, poisoned_training):
@@ -94,6 +130,16 @@ class TestSessionAndStudy:
         assert info.value.iteration == POISONED_ITERATION
         assert info.value.simulation_ids == poisoned_training
         assert session.server.iteration == POISONED_ITERATION
+
+    def test_smoke_session_counts_the_non_finite_batch(self, poisoned_training, metrics_on):
+        session = TrainingSession(_smoke_config())
+        with pytest.raises(NonFiniteLossError):
+            session.run()
+        assert metrics_on.counter_values()[NONFINITE_COUNTER] == 1.0
+
+    def test_finite_session_leaves_counter_untouched(self, metrics_on):
+        TrainingSession(_smoke_config()).run()
+        assert NONFINITE_COUNTER not in metrics_on.counter_values()
 
     def test_campaign_records_the_run_as_failed(self, poisoned_training, tmp_path):
         spec = CampaignSpec.from_dict(

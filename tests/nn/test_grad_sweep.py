@@ -67,10 +67,13 @@ OP_CASES = {
         x, Tensor(_data((4, x.shape[-1]), 9)), Tensor(_data((4,), 10))
     ).sum(),
     "conv2d": None,  # 4-D input; swept separately below
+    "per_sample_mse": lambda x: (
+        F.per_sample_mse(x, Tensor(_data(x.shape, 11))) * Tensor(_data(x.shape[:1], 12))
+    ).sum(),
 }
 
 _MATRIX_ONLY = {"matmul", "linear", "transpose"}  # need ndim == 2
-_MULTI_AXIS = {"sum", "mean", "getitem"}          # need ndim >= 2
+_MULTI_AXIS = {"sum", "mean", "getitem", "per_sample_mse"}  # need ndim >= 2
 
 
 def test_every_registered_op_is_swept():

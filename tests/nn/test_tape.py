@@ -41,6 +41,13 @@ class TestTapeRecording:
             layer(x)
         assert tape.ops() == ["linear"]
 
+    @pytest.mark.parametrize("shape", [(5, 4), (5,)])
+    def test_per_sample_mse_records_single_fused_node(self, shape):
+        p = Tensor(np.ones(shape), requires_grad=True)
+        with Tape() as tape:
+            F.per_sample_mse(p, Tensor(np.zeros(shape)))
+        assert tape.ops() == ["per_sample_mse"]
+
     def test_mlp_forward_backward_op_count_is_layer_count(self):
         model = nn.Sequential(
             nn.Linear(6, 8, rng=np.random.default_rng(0)),

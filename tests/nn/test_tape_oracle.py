@@ -173,6 +173,102 @@ class TestPrimitiveOracles:
         assert np.array_equal(p_t.grad, ref)
 
 
+def ref_per_sample_mse(prediction, target):
+    """The composed per-sample MSE, frozen: ``sub → mul → mean`` primitive nodes."""
+    diff = prediction - target
+    squared = diff * diff
+    return squared.mean(axis=tuple(range(1, squared.ndim)))
+
+
+class TestFusedPerSampleMseOracle:
+    """The fused ``per_sample_mse`` node against the composed chain, bit for bit."""
+
+    def _pair(self, p, t):
+        """Two independent (prediction, target) leaf pairs, both requiring grad."""
+        return [(Tensor(p, requires_grad=True), Tensor(t, requires_grad=True)) for _ in range(2)]
+
+    @pytest.mark.parametrize("shape", [(6, 10), (4, 3, 5), (128, 64)])
+    def test_forward_and_gradients_match_composed_chain(self, shape):
+        p, t = _golden(shape, seed=60), _golden(shape, seed=61)
+        grad = _golden(shape[:1], seed=62)
+        (p_f, t_f), (p_r, t_r) = self._pair(p, t)
+        fused = F.per_sample_mse(p_f, t_f)
+        ref = ref_per_sample_mse(p_r, t_r)
+        assert np.array_equal(fused.data, ref.data)
+        fused.backward(grad)
+        ref.backward(grad)
+        assert np.array_equal(p_f.grad, p_r.grad)
+        assert np.array_equal(t_f.grad, t_r.grad)
+
+    def test_broadcast_target_gradient_is_unbroadcast(self):
+        p, t = _golden((5, 7), seed=63), _golden((7,), seed=64)
+        (p_f, t_f), (p_r, t_r) = self._pair(p, t)
+        F.per_sample_mse(p_f, t_f).mean().backward()
+        ref_per_sample_mse(p_r, t_r).mean().backward()
+        assert t_f.grad.shape == (7,)
+        assert np.array_equal(p_f.grad, p_r.grad)
+        assert np.array_equal(t_f.grad, t_r.grad)
+
+    def test_constant_target_gets_no_gradient(self):
+        p, t = _golden((4, 6), seed=65), _golden((4, 6), seed=66)
+        p_t, t_t = Tensor(p, requires_grad=True), Tensor(t)
+        F.per_sample_mse(p_t, t_t).mean().backward()
+        assert t_t.grad is None
+        assert p_t.grad is not None
+
+    def test_single_sample_returns_squared_errors(self):
+        """1-D inputs go through the fused node too: squared errors, same gradients."""
+        p, t = _golden((9,), seed=67), _golden((9,), seed=68)
+        grad = _golden((9,), seed=69)
+        (p_f, t_f), (p_r, t_r) = self._pair(p, t)
+        out = F.per_sample_mse(p_f, t_f)
+        assert np.array_equal(out.data, (p - t) * (p - t))
+        diff = p_r - t_r
+        ref = diff * diff  # the composed chain as reference
+        out.backward(grad)
+        ref.backward(grad)
+        assert np.array_equal(p_f.grad, p_r.grad)
+        assert np.array_equal(t_f.grad, t_r.grad)
+
+    @pytest.mark.parametrize("architecture", ["mlp", "residual", "conv2d"])
+    @pytest.mark.parametrize("target_grad", [False, True])
+    def test_adam_runs_bit_identical(self, architecture, target_grad):
+        """Seeded multi-step Adam replays: losses, gradients and parameters equal."""
+        from repro.surrogate.model import SurrogateConfig, build_surrogate
+
+        config = SurrogateConfig(
+            input_dim=6,
+            output_dim=36,  # 6x6 grid for conv2d
+            hidden_size=8,
+            n_hidden_layers=2,
+            architecture=architecture,
+        )
+        runs = []
+        for loss_fn in (F.per_sample_mse, ref_per_sample_mse):
+            model = build_surrogate(config, rng=np.random.default_rng(7))
+            target = Tensor(_golden((12, 36), seed=70), requires_grad=target_grad)
+            params = list(model.parameters()) + ([target] if target_grad else [])
+            optimizer = nn.Adam(params, lr=1e-2)
+            trace = []
+            for step in range(6):
+                model.zero_grad()
+                target.zero_grad()
+                x = Tensor(_golden((12, 6), seed=80 + step))
+                per_sample = loss_fn(model(x), target)
+                loss = per_sample.mean()
+                loss.backward()
+                trace.append(loss.data.copy())
+                trace.append(per_sample.data.copy())
+                trace.extend(p.grad.copy() for p in params)
+                optimizer.step()
+            trace.extend(p.data.copy() for p in params)
+            runs.append(trace)
+        fused, ref = runs
+        assert len(fused) == len(ref)
+        for got, want in zip(fused, ref):
+            assert np.array_equal(got, want)
+
+
 class TestMlpTrainingStepOracle:
     """Replay a full hand-wired MLP backward and compare every parameter."""
 
