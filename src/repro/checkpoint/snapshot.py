@@ -25,7 +25,8 @@ Write protocol (crash safety):
 
 1. the snapshot is assembled in a ``.tmp-…`` sibling directory,
 2. ``os.rename`` moves it to its final ``step-…`` name (atomic on POSIX),
-3. ``latest.json`` is replaced atomically (tmp file + ``os.replace``),
+3. ``latest.json`` is replaced with :func:`repro.storage.atomic_write`
+   (fsynced temp file, then rename),
 4. snapshots beyond the retention budget — and stale tmp directories left by
    crashed writers — are pruned last.
 
@@ -47,6 +48,7 @@ import numpy as np
 
 from repro import __version__, telemetry
 from repro.api.config import OnlineTrainingConfig
+from repro.storage import atomic_write
 from repro.utils.logging import get_logger
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -216,9 +218,8 @@ def _dumps(payload: Dict[str, Any]) -> str:
 
 
 def _write_latest(directory: Path, manifest: Dict[str, Any], name: str) -> None:
-    pointer = directory / _LATEST_NAME
-    tmp = directory / f"{_LATEST_NAME}.tmp-{os.getpid()}"
-    tmp.write_text(
+    atomic_write(
+        directory / _LATEST_NAME,
         _dumps(
             {
                 "snapshot": name,
@@ -226,9 +227,8 @@ def _write_latest(directory: Path, manifest: Dict[str, Any], name: str) -> None:
                 "iteration": manifest["iteration"],
                 "fingerprint": manifest["fingerprint"],
             }
-        )
+        ),
     )
-    os.replace(tmp, pointer)
 
 
 def _prune(directory: Path, keep: int) -> None:
@@ -236,8 +236,9 @@ def _prune(directory: Path, keep: int) -> None:
     for stale in snapshots[:-keep] if keep > 0 else []:
         shutil.rmtree(stale, ignore_errors=True)
     for entry in directory.iterdir():
-        # tmp leftovers of crashed writers: snapshot dirs and latest pointers
-        # (their names carry the dead writer's pid, so nobody else owns them)
+        # tmp leftovers of crashed writers: snapshot dirs and atomic_write's
+        # latest-pointer temp files (their names carry the dead writer's pid,
+        # so nobody else owns them)
         if entry.is_dir() and entry.name.startswith(_TMP_PREFIX):
             shutil.rmtree(entry, ignore_errors=True)
         elif entry.is_file() and entry.name.startswith(f"{_LATEST_NAME}.tmp-"):

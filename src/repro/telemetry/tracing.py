@@ -30,6 +30,8 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
+from repro.storage import AppendLog, atomic_write
+
 __all__ = ["NULL_TRACER", "NullTracer", "Tracer", "to_chrome"]
 
 #: buffered events before an automatic flush
@@ -218,15 +220,6 @@ def to_chrome(jsonl_path: str | Path, out_path: Optional[str | Path] = None) -> 
     defaults to the input with a ``.json`` suffix.
     """
     jsonl_path = Path(jsonl_path)
-    events = []
-    for line in jsonl_path.read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            events.append(json.loads(line))
-        except json.JSONDecodeError:
-            continue  # torn tail of a crashed writer
+    events = list(AppendLog(jsonl_path).records())
     out = Path(out_path) if out_path is not None else jsonl_path.with_suffix(".json")
-    out.write_text(json.dumps({"traceEvents": events}))
-    return out
+    return atomic_write(out, json.dumps({"traceEvents": events}))

@@ -32,7 +32,6 @@ metrics and series for the same specs — except for the wall-clock
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -45,6 +44,7 @@ from repro.api.config import OnlineTrainingConfig
 from repro.api.session import OnlineTrainingResult, TrainingSession
 from repro.breed.samplers import BreedConfig
 from repro.solvers.base import Solver
+from repro.storage import AppendLog
 from repro.surrogate.validation import ValidationSet, validation_set_for_workload
 from repro.utils.logging import get_logger
 from repro.utils.timer import Timer
@@ -603,16 +603,16 @@ def get_executor(
 class JsonlCheckpoint:
     """Append-only JSONL record of completed runs.
 
-    One line per completed :class:`RunResult`, written (and flushed) as each
-    run finishes so a killed study loses at most the in-flight runs.  Loading
-    tolerates a truncated line — the tail a crash mid-write leaves behind,
-    which the next append terminates rather than writes onto — and keeps the
-    *last* record per name, so re-running a study into the same file is
-    harmless.
+    One line per completed :class:`RunResult`, written through a
+    :class:`repro.storage.AppendLog` (fsynced) as each run finishes, so a
+    killed study loses at most the in-flight runs and the torn line a crash
+    mid-write leaves is skipped.  Loading keeps the *last* record per name,
+    so re-running a study into the same file is harmless.
     """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
+        self._log = AppendLog(self.path)
 
     def exists(self) -> bool:
         return self.path.exists()
@@ -620,31 +620,10 @@ class JsonlCheckpoint:
     def load(self) -> Dict[str, RunResult]:
         """Completed runs keyed by name (empty when the file is absent)."""
         completed: Dict[str, RunResult] = {}
-        if not self.path.exists():
-            return completed
-        for line in self.path.read_text().splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError:
-                _LOGGER.warning("skipping truncated checkpoint line in %s", self.path)
-                continue
+        for payload in self._log.records():
             record = RunResult.from_dict(payload)
             completed[record.name] = record
         return completed
 
     def append(self, record: RunResult) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        line = (json.dumps(record.to_dict()) + "\n").encode()
-        with self.path.open("ab+") as stream:
-            # A crash mid-write leaves a torn last line: terminate it, so this
-            # record starts a line of its own instead of fusing with the
-            # fragment (load() then skips just the fragment).
-            if stream.tell() > 0:
-                stream.seek(-1, os.SEEK_END)
-                if stream.read(1) != b"\n":
-                    line = b"\n" + line
-            stream.write(line)
-            stream.flush()
+        self._log.append(record.to_dict())

@@ -91,6 +91,21 @@ class TestResume:
                 comparable(r) for r in results.runs
             ]
 
+    def test_manifest_seq_continues_across_invocations(self, make_campaign, tmp_path):
+        run_campaign(make_campaign("diamond"), tmp_path / "camp").run()
+        run_campaign(make_campaign("diamond"), tmp_path / "camp").run(resume=True)
+        events = CampaignManifest(tmp_path / "camp" / "manifest.jsonl").load()
+        assert [e["event"] for e in events].count("campaign_started") == 2
+        assert [e["seq"] for e in events] == list(range(len(events)))
+
+    def test_node_finished_after_torn_manifest_tail_is_recorded(self, tmp_path):
+        path = tmp_path / "manifest.jsonl"
+        CampaignManifest(path).append("campaign_started", digest="d")
+        with path.open("a") as stream:
+            stream.write('{"event": "node_started", "no')  # a kill mid-append
+        CampaignManifest(path).append("node_finished", node="src", runs=1)
+        assert CampaignManifest(path).completed_nodes() == {"src"}
+
     def test_existing_manifest_without_resume_is_refused(self, make_campaign, tmp_path):
         run_campaign(make_campaign("fanout"), tmp_path / "camp").run()
         with pytest.raises(CampaignResumeError, match="--resume"):

@@ -163,6 +163,8 @@ class TestLifecycle:
         # and the next append still gets a fresh, dense sequence number
         entry = store.append_event(record.id, "started")
         assert entry["seq"] == 1
+        # ... on a line of its own, not fused with the torn fragment
+        assert [e["event"] for e in store.events(record.id)] == ["queued", "started"]
 
 
 class TestCancel:
